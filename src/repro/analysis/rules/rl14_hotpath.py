@@ -1,10 +1,11 @@
 """RL14: hot-path performance lint for the numeric kernels.
 
-PR 7 rewrote the MLL hot path as a vectorized SoA kernel precisely
-because per-element Python dispatch over numpy arrays was the dominant
-cost; this rule keeps that property from regressing.  It runs only
-over the kernel modules (``core/``) and flags three anti-patterns that
-re-introduce interpreter-bound inner loops:
+MLL's insertion-point evaluation scores every point of a call in one
+numpy batch because per-element Python dispatch over numpy arrays
+would dominate its cost; this rule keeps that property from
+regressing.  It runs only over the kernel modules (``core/``) and
+flags three anti-patterns that re-introduce interpreter-bound inner
+loops:
 
 * **object-dtype arrays** — ``np.array(..., dtype=object)`` (and
   ``empty``/``zeros``/``ones``/``full``) box every element and defeat

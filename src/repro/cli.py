@@ -44,12 +44,6 @@ import signal
 import sys
 import time
 
-from repro.baselines import (
-    MilpLegalizer,
-    OptimalLegalizer,
-    abacus_legalize,
-    tetris_legalize,
-)
 from repro.bench import GeneratorConfig, generate_design
 from repro.checker import displacement_stats, hpwl_stats, verify_placement
 from repro.core import (
@@ -108,7 +102,6 @@ def _make_config(args: argparse.Namespace) -> LegalizerConfig:
         power_aligned=not args.relaxed,
         evaluation=EvaluationMode.EXACT if args.exact else EvaluationMode.APPROX,
         quarantine=getattr(args, "quarantine", False),
-        kernel=getattr(args, "kernel", "object"),
         **kwargs,
     )
 
@@ -274,13 +267,23 @@ def _cmd_legalize(args: argparse.Namespace) -> int:
                 print("engine: sequential fallback (below serial threshold)")
         elif args.algorithm == "mll":
             quarantined = Legalizer(design, config).run().stuck
+        # The baselines are imported on demand: repro.baselines pulls in
+        # scipy, which every other subcommand would pay for at startup.
         elif args.algorithm == "optimal":
+            from repro.baselines import OptimalLegalizer
+
             OptimalLegalizer(design, config).run()
         elif args.algorithm == "milp":
+            from repro.baselines import MilpLegalizer
+
             MilpLegalizer(design, config).run()
         elif args.algorithm == "abacus":
+            from repro.baselines import abacus_legalize
+
             abacus_legalize(design, power_aligned=not args.relaxed)
         else:
+            from repro.baselines import tetris_legalize
+
             tetris_legalize(design, power_aligned=not args.relaxed)
     except GracefulShutdown as exc:
         # SIGINT/SIGTERM: flush a final checkpoint (when enabled) and
@@ -503,11 +506,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="drop the power-rail alignment constraint")
     p.add_argument("--exact", action="store_true",
                    help="exact insertion point evaluation")
-    p.add_argument("--kernel", choices=["object", "soa"],
-                   default="object",
-                   help="MLL hot-path implementation: the reference "
-                        "object-model loops or the vectorized numpy "
-                        "struct-of-arrays sweeps (bit-identical result)")
     p.add_argument("--audit", action="store_true",
                    help="re-check every MLL insertion with the "
                         "independent legality checker (rolls back and "

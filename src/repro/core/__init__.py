@@ -14,7 +14,7 @@ gate sizing, buffer insertion).
 """
 
 from repro.core.bounds import PlacementBounds, compute_bounds
-from repro.core.config import EvaluationMode, Kernel, LegalizerConfig
+from repro.core.config import EvaluationMode, LegalizerConfig
 from repro.core.enumeration import (
     InsertionPoint,
     enumerate_insertion_points,
@@ -41,7 +41,6 @@ __all__ = [
     "EvaluationMode",
     "InsertionInterval",
     "InsertionPoint",
-    "Kernel",
     "LegalizationError",
     "LegalizationResult",
     "Legalizer",

@@ -141,32 +141,51 @@ def enumerate_insertion_points(
 
     Events at equal x are ordered *clear* < *open* < *close* so that
     touching intervals still combine and a multi-row cell's own right
-    gap survives the clearing it triggers.
+    gap survives the clearing it triggers.  Queues hold indices into
+    *feasible*; events tied on ``(x, kind)`` run in list order.
     """
     ht = target_height
-    rows_present = set(region.segments)
+    if ht == 1:
+        # Single-row target: there are no partner queues (a pair of rows
+        # would have to differ by at most ht - 1 = 0), so every OPEN
+        # emits its own interval and the Figure-8 check is vacuous.  The
+        # emission order is the stable x_lo order of the OPEN events.
+        return [
+            InsertionPoint(intervals=(iv,), x_lo=iv.x_lo, x_hi=iv.x_hi)
+            for iv in sorted(feasible, key=lambda iv: iv.x_lo)
+            if row_ok is None or row_ok(iv.row_index)
+        ]
+    rows = region.rows()
+    rows_present = set(rows)
     multirow = _multirow_indices(region)
 
     # Queue keys (a, s): a = row of the interval being processed, s = row
-    # of the stored partner intervals.
-    queues: dict[tuple[int, int], list[InsertionInterval]] = {}
-    for a in sorted(rows_present):
-        for s in sorted(rows_present):
+    # of the stored partner intervals.  partners[s] lists every queue
+    # that stores intervals of row s.
+    queues: dict[tuple[int, int], list[int]] = {}
+    partners: dict[int, list[list[int]]] = {s: [] for s in rows}
+    for a in rows:
+        for s in rows:
             if a != s and abs(a - s) <= ht - 1:
                 queues[(a, s)] = []
+                partners[s].append(queues[(a, s)])
 
     CLEAR, OPEN, CLOSE = 0, 1, 2
-    events: list[tuple[int, int, InsertionInterval]] = []
-    for iv in feasible:
-        events.append((iv.x_lo, OPEN, iv))
-        events.append((iv.x_hi, CLOSE, iv))
-    for iv in feasible + discarded:
+    gaps = feasible + discarded
+    events: list[tuple[int, int, int]] = []
+    for i, iv in enumerate(feasible):
+        events.append((iv.x_lo, OPEN, i))
+        events.append((iv.x_hi, CLOSE, i))
+    for i, iv in enumerate(gaps):
         if iv.left is not None and iv.left.is_multi_row:
-            events.append((iv.x_lo, CLEAR, iv))
-    events.sort(key=lambda e: (e[0], e[1]))
+            events.append((iv.x_lo, CLEAR, i))
+    # Indices grow in append order within each kind, so sorting the
+    # whole tuple equals a stable sort on (x, kind).
+    events.sort()
 
     points: list[InsertionPoint] = []
-    for _x, kind, iv in events:
+    for _x, kind, i in events:
+        iv = gaps[i]
         a = iv.row_index
         if kind == CLEAR:
             blocker = iv.left
@@ -176,36 +195,35 @@ def enumerate_insertion_points(
                 if q is not None:
                     q.clear()
         elif kind == OPEN:
-            _generate_for(iv, ht, rows_present, queues, multirow, row_ok, points)
-            for r in sorted(rows_present):
-                q = queues.get((r, a))
-                if q is not None:
-                    q.append(iv)
+            _generate_for(i, feasible, ht, rows_present, queues, multirow, row_ok, points)
+            for q in partners[a]:
+                q.append(i)
         else:  # CLOSE
-            for r in sorted(rows_present):
-                q = queues.get((r, a))
-                if q is not None:
-                    try:
-                        q.remove(iv)
-                    except ValueError:
-                        pass  # already removed by a clearing event
+            for q in partners[a]:
+                try:
+                    q.remove(i)
+                except ValueError:
+                    pass  # already removed by a clearing event
     return points
 
 
 def _generate_for(
-    iv: InsertionInterval,
+    i: int,
+    feasible: list[InsertionInterval],
     ht: int,
     rows_present: set[int],
-    queues: dict[tuple[int, int], list[InsertionInterval]],
+    queues: dict[tuple[int, int], list[int]],
     multirow: dict[int, list[tuple[int, int]]],
     row_ok: RowPredicate | None,
     points: list[InsertionPoint],
 ) -> None:
-    """Emit every insertion point whose last-opened interval is *iv*.
+    """Emit every insertion point whose last-opened interval is
+    ``iv = feasible[i]``.
 
     Implements equation (2) of the paper: the union over all ``h_t``-row
     windows containing ``iv``'s row of the product of the partner queues.
     """
+    iv = feasible[i]
     a = iv.row_index
     for bottom in range(a - ht + 1, a + 1):
         window = _window_rows(bottom, ht)
@@ -221,12 +239,12 @@ def _generate_for(
         # sorting every combination.
         iv_slot = a - bottom
         for parts in product(*partner_lists):
-            combo = list(parts)
+            combo = [feasible[j] for j in parts]
             combo.insert(iv_slot, iv)
             if not _combo_is_valid(combo, multirow):
                 continue
-            lo = max(i.x_lo for i in combo)
-            hi = min(i.x_hi for i in combo)
+            lo = max(c.x_lo for c in combo)
+            hi = min(c.x_hi for c in combo)
             # Members are all active at iv.x_lo, so the range is nonempty.
             points.append(
                 InsertionPoint(intervals=tuple(combo), x_lo=lo, x_hi=hi)

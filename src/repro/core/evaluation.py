@@ -26,12 +26,20 @@ maxima are longest paths, computable in one sweep over cells ordered by x
 The *approximate* mode (the paper's default) only uses the ≤ 2·h_t cells
 adjacent to the chosen gaps: ``x_a = x_i + w_i`` for a left neighbor,
 ``x_b = x_j - w_t`` for a right neighbor.
+
+:func:`evaluate_insertion_point` scores every insertion point of one MLL
+call in a single numpy batch: one row-wise sort yields every median and
+one broadcast every candidate cost.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
+from numpy.typing import NDArray
 
 from repro.core.config import EvaluationMode
 from repro.core.enumeration import InsertionPoint
@@ -39,6 +47,8 @@ from repro.core.local_region import LocalRegion
 from repro.db.cell import Cell
 
 _INF = math.inf
+
+FloatArray = NDArray[np.float64]
 
 
 @dataclass(frozen=True, slots=True)
@@ -170,92 +180,127 @@ def _critical_positions_exact(
     return pairs
 
 
-def _critical_positions_approx(
-    point: InsertionPoint,
-    target_width: int,
-) -> list[tuple[float, float]]:
-    """Neighbor-only critical positions (paper Section 5.2 last para)."""
-    pairs: list[tuple[float, float]] = []
-    for iv in point.intervals:
-        if iv.left is not None:
-            assert iv.left.x is not None
-            pairs.append((iv.left.x + iv.left.width, _INF))
-        if iv.right is not None:
-            assert iv.right.x is not None
-            pairs.append((-_INF, iv.right.x - target_width))
-    return pairs
+def _neighbour_pairs(
+    points: Sequence[InsertionPoint], target_width: int
+) -> tuple[FloatArray, FloatArray]:
+    """APPROX pair matrices: slot ``s`` of a point holds the pair
+    ``(x_a, x_b)`` of its interval's left and right neighbours.
 
-
-def _total_cost(pairs: list[tuple[float, float]], x: float) -> float:
-    """Sum of equation-(3) curves at target position *x*, in sites."""
-    total = 0.0
-    for a, b in pairs:
-        if x < a:
-            total += a - x
-        elif x > b:
-            total += x - b
-    return total
-
-
-def _optimal_x(
-    pairs: list[tuple[float, float]],
-    x_lo: int,
-    x_hi: int,
-    desired_x: float,
-) -> int:
-    """Integer x in [x_lo, x_hi] minimizing the summed curves.
-
-    The median of the critical-position multiset minimizes the sum; we
-    clamp it into the feasible range and round to the site grid, picking
-    the better of floor/ceil (the objective is convex).
+    Folding a slot's left pair ``(x_a, +inf)`` and right pair
+    ``(-inf, x_b)`` into one ``(x_a, x_b)`` changes neither the summed
+    cost (each endpoint is clipped on its own) nor the lower median (the
+    endpoint multiset only loses one ``-inf`` and one ``+inf``).  A
+    missing neighbour or an unused slot is the identity ``(-inf, +inf)``.
     """
-    endpoints = sorted(v for pair in pairs for v in pair)
-    n = len(endpoints)
-    if n == 0:
-        # No curves: every x costs 0, so only the desired-x tie-break
-        # matters.  Fall through to the shared floor/ceil candidate
-        # selection — `int(round(...))` here would banker's-round x.5
-        # to the even neighbor, diverging from the main path's snap.
-        med = desired_x
-    else:
-        # Lower median; any point of [endpoints[n//2-1], endpoints[n//2]]
-        # is optimal for even n, and endpoints[n//2] for odd n.
-        med = endpoints[(n - 1) // 2]
-    if med == -_INF:
-        med = x_lo
-    elif med == _INF:
-        med = x_hi
-    clamped = min(max(med, x_lo), x_hi)
-    raw = (x_lo, x_hi, int(math.floor(clamped)), int(math.ceil(clamped)))
-    candidates = sorted({x for x in raw if x_lo <= x <= x_hi})
-    return min(candidates, key=lambda x: (_total_cost(pairs, x), abs(x - desired_x)))
+    nslots = max(len(p.intervals) for p in points)
+    lo: list[float] = []
+    hi: list[float] = []
+    for p in points:
+        ivs = p.intervals
+        for iv in ivs:
+            left, right = iv.left, iv.right
+            if left is None:
+                lo.append(-_INF)
+            else:
+                assert left.x is not None
+                lo.append(left.x + left.width)
+            if right is None:
+                hi.append(_INF)
+            else:
+                assert right.x is not None
+                hi.append(right.x - target_width)
+        pad = nslots - len(ivs)
+        if pad:
+            lo.extend([-_INF] * pad)
+            hi.extend([_INF] * pad)
+    shape = (len(points), nslots)
+    return (
+        np.array(lo, dtype=np.float64).reshape(shape),
+        np.array(hi, dtype=np.float64).reshape(shape),
+    )
+
+
+def _exact_pairs(
+    region: LocalRegion, points: Sequence[InsertionPoint], target_width: int
+) -> tuple[FloatArray, FloatArray]:
+    """EXACT pair matrices, rows padded with the identity ``(-inf, +inf)``."""
+    pair_lists = [
+        _critical_positions_exact(region, p, target_width) for p in points
+    ]
+    width = max(len(pairs) for pairs in pair_lists)
+    a = np.full((len(points), width), -_INF, dtype=np.float64)
+    b = np.full((len(points), width), _INF, dtype=np.float64)
+    for i, pairs in enumerate(pair_lists):
+        if pairs:
+            a[i, : len(pairs)], b[i, : len(pairs)] = zip(*pairs)
+    return a, b
 
 
 def evaluate_insertion_point(
     region: LocalRegion,
-    point: InsertionPoint,
+    points: Sequence[InsertionPoint],
     target: Cell,
     desired_x: float,
     desired_y: float,
     site_width_um: float,
     site_height_um: float,
     mode: EvaluationMode = EvaluationMode.APPROX,
-) -> EvaluatedPoint:
-    """Choose the target x for *point* and estimate its total cost.
+) -> list[EvaluatedPoint]:
+    """Choose the target x of every insertion point of one MLL call and
+    estimate its cost; one :class:`EvaluatedPoint` per point, in order.
 
     The cost combines the local cells' x-displacement (sites × site
     width) with the target's displacement from its desired position
     (Manhattan, in microns).  In :data:`EvaluationMode.EXACT` the cost is
     the true total displacement of the realized placement; in
     :data:`EvaluationMode.APPROX` only gap-adjacent cells contribute.
+
+    All points are scored in one numpy batch.  Each row of the pair
+    matrices ``a``/``b`` is one point's critical positions, padded with
+    identity pairs; the lower median of its endpoints plus the target's
+    ``(desired_x, desired_x)`` is the optimal real x, which is clamped to
+    ``[x_lo, x_hi]`` and snapped to the better of floor and ceil.  The
+    result is exact and independent of summation order: every
+    non-target endpoint is integer-valued, so those terms sum exactly;
+    the target's fractional ``|x - desired_x|`` is added last; and ties
+    go to the smaller ``|x - desired_x|``, then the smaller x.
     """
+    if not points:
+        return []
     if mode is EvaluationMode.EXACT:
-        pairs = _critical_positions_exact(region, point, target.width)
+        a, b = _exact_pairs(region, points, target.width)
     else:
-        pairs = _critical_positions_approx(point, target.width)
-    # The target's own displacement curve: x_a = x_b = desired_x.
-    pairs.append((desired_x, desired_x))
-    x = _optimal_x(pairs, point.x_lo, point.x_hi, desired_x)
-    cost_sites = _total_cost(pairs, x)
-    cost = cost_sites * site_width_um + abs(point.bottom_row - desired_y) * site_height_um
-    return EvaluatedPoint(point=point, target_x=x, cost=cost)
+        a, b = _neighbour_pairs(points, target.width)
+    npts, width = a.shape
+    x_lo = np.fromiter((p.x_lo for p in points), dtype=np.float64, count=npts)
+    x_hi = np.fromiter((p.x_hi for p in points), dtype=np.float64, count=npts)
+    desired = np.full((npts, 1), desired_x, dtype=np.float64)
+
+    # The lower median of the 2·width + 2 endpoints sits at index width.
+    endpoints = np.concatenate([a, b, desired, desired], axis=1)
+    endpoints.sort(axis=1)
+    med = endpoints[:, width]
+    med = np.where(med == -_INF, x_lo, med)
+    med = np.where(med == _INF, x_hi, med)
+    clamped = np.minimum(np.maximum(med, x_lo), x_hi)
+    cand = np.stack([x_lo, x_hi, np.floor(clamped), np.ceil(clamped)], axis=1)
+
+    pair_cost = (
+        np.clip(a[:, :, None] - cand[:, None, :], 0.0, None).sum(axis=1)
+        + np.clip(cand[:, None, :] - b[:, :, None], 0.0, None).sum(axis=1)
+    )
+    own = np.abs(cand - desired_x)
+    cost = pair_cost + own
+    best_cost = cost.min(axis=1, keepdims=True)
+    own_at_best = np.where(cost == best_cost, own, _INF)
+    best_own = own_at_best.min(axis=1, keepdims=True)
+    best_x = np.where(own_at_best == best_own, cand, _INF).min(axis=1)
+
+    rows = np.fromiter((p.bottom_row for p in points), dtype=np.float64, count=npts)
+    cost_um = (
+        best_cost[:, 0] * site_width_um + np.abs(rows - desired_y) * site_height_um
+    )
+    return [
+        EvaluatedPoint(point=p, target_x=int(x), cost=c)
+        for p, x, c in zip(points, best_x.tolist(), cost_um.tolist())
+    ]

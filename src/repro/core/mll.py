@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from repro.core.bounds import compute_bounds
-from repro.core.config import EvaluationMode, Kernel, LegalizerConfig
+from repro.core.config import EvaluationMode, LegalizerConfig
 from repro.core.enumeration import enumerate_insertion_points
 from repro.core.evaluation import EvaluatedPoint, evaluate_insertion_point
 from repro.core.intervals import build_insertion_intervals
@@ -38,7 +38,6 @@ from repro.geometry import Rect
 
 if TYPE_CHECKING:
     from repro.checker.legality import Violation
-    from repro.core.soa import SoaKernel
 
 
 class AuditError(Exception):
@@ -82,12 +81,6 @@ class MultiRowLocalLegalizer:
         self.design = design
         self.config = config if config is not None else LegalizerConfig()
         self.telemetry = None
-        self._soa_kernel: "SoaKernel | None" = None
-        if self.config.kernel is Kernel.SOA:
-            # Lazy import: the object kernel must work without numpy.
-            from repro.core.soa import SoaKernel as _SoaKernel
-
-            self._soa_kernel = _SoaKernel(design)
 
     def window_for(self, target: Cell, x: float, y: float) -> Rect:
         """The local-region window of Section 3: lower-left corner at
@@ -193,23 +186,9 @@ class MultiRowLocalLegalizer:
         mode: EvaluationMode,
     ) -> list[EvaluatedPoint]:
         """bounds → intervals → enumeration → evaluation, one
-        :class:`EvaluatedPoint` per insertion point in enumeration order,
-        via the configured kernel.  The two kernels are bit-identical —
-        the SoA path is a vectorized sweep over the numpy mirror, the
-        object path doubles as its differential oracle."""
+        :class:`EvaluatedPoint` per insertion point in enumeration order."""
         fp = self.design.floorplan
         row_ok = self._row_predicate(target)
-        if self._soa_kernel is not None:
-            return self._soa_kernel.evaluate_region(
-                region,
-                target,
-                desired_x,
-                desired_y,
-                fp.site_width_um,
-                fp.site_height_um,
-                mode,
-                row_ok,
-            )
         bounds = compute_bounds(region)
         feasible, discarded = build_insertion_intervals(
             region, bounds, target.width
@@ -217,19 +196,16 @@ class MultiRowLocalLegalizer:
         points = enumerate_insertion_points(
             region, feasible, discarded, target.height, row_ok
         )
-        return [
-            evaluate_insertion_point(
-                region,
-                point,
-                target,
-                desired_x=desired_x,
-                desired_y=desired_y,
-                site_width_um=fp.site_width_um,
-                site_height_um=fp.site_height_um,
-                mode=mode,
-            )
-            for point in points
-        ]
+        return evaluate_insertion_point(
+            region,
+            points,
+            target,
+            desired_x=desired_x,
+            desired_y=desired_y,
+            site_width_um=fp.site_width_um,
+            site_height_um=fp.site_height_um,
+            mode=mode,
+        )
 
     def _audit(self, region: LocalRegion, target: Cell) -> None:
         """Re-check the realized region with the independent checker.

@@ -130,12 +130,6 @@ class Journal:
     # ------------------------------------------------------------------
     def _record(self, entry: JournalEntry) -> None:
         self.entries.append(entry)
-        # Keep the SoA mirror current *before* the fault hook fires: a
-        # hook that raises simulates a crash after the mutation, and the
-        # rollback path re-notifies the mirror per undone entry.
-        soa = self.design.soa
-        if soa is not None:
-            soa.on_journal_record(entry)
         if self.on_record is not None:
             self.on_record(entry)
 
@@ -254,9 +248,6 @@ class Journal:
             e.cell.master = e.old_master
         else:  # pragma: no cover - exhaustive
             raise JournalError(f"unknown journal op {op!r}")
-        soa = self.design.soa
-        if soa is not None:
-            soa.on_journal_undo(e)
 
 
 class Transaction:

@@ -165,6 +165,25 @@ def read_bookshelf(aux_path: str) -> Design:
     return design
 
 
+def _declared_count(path: str, line: str) -> int:
+    """The value of a ``NumX : n`` header line of *path*."""
+    try:
+        return int(line.partition(":")[2])
+    except ValueError:
+        raise ValueError(f"{path}: malformed header {line!r}") from None
+
+
+def _check_count(
+    path: str, header: str, declared: int | None, read: int, what: str
+) -> None:
+    """Reject a file whose records disagree with its declared count — a
+    truncated file would otherwise load as a smaller design."""
+    if declared is not None and declared != read:
+        raise ValueError(
+            f"{path}: {header} declares {declared} {what} but {read} were read"
+        )
+
+
 def _read_scl(path: str) -> Floorplan:
     from repro.db.fence import FenceRegion
     from repro.geometry import Rect
@@ -175,9 +194,13 @@ def _read_scl(path: str) -> Floorplan:
     fence_rects: dict[int, tuple[str, list[Rect]]] = {}
     coord = height = origin = nsites = None
     orient = "N"
+    declared: int | None = None
     with open(path) as f:
         for raw in f:
             line = raw.strip()
+            if line.startswith("NumRows"):
+                declared = _declared_count(path, line)
+                continue
             if line.startswith("# SiteMicrons"):
                 parts = line.split()
                 site_w, site_h = float(parts[2]), float(parts[3])
@@ -214,6 +237,7 @@ def _read_scl(path: str) -> Floorplan:
                     raise ValueError(f"malformed CoreRow block in {path}")
                 rail = Rail.GND if orient == "N" else Rail.VDD
                 rows.append((coord, origin, nsites, rail))
+    _check_count(path, "NumRows", declared, len(rows), "CoreRow blocks")
     if not rows:
         raise ValueError(f"no rows in {path}")
     rows.sort()
@@ -236,14 +260,17 @@ def _read_scl(path: str) -> Floorplan:
 
 
 def _read_nodes(design: Design, path: str) -> None:
+    declared: int | None = None
     with open(path) as f:
         for raw in f:
             line = raw.strip()
+            if line.startswith("NumNodes"):
+                declared = _declared_count(path, line)
+                continue
             if (
                 not line
                 or line.startswith("#")
                 or line.startswith("UCLA")
-                or line.startswith("NumNodes")
                 or line.startswith("NumTerminals")
             ):
                 continue
@@ -261,6 +288,7 @@ def _read_nodes(design: Design, path: str) -> None:
                 rail = Rail.VDD
             master = design.library.get_or_create(w, h, rail)
             design.add_cell(master, name=name, fixed=fixed, region=region)
+    _check_count(path, "NumNodes", declared, len(design.cells), "node lines")
 
 
 def _read_pl(design: Design, path: str) -> None:
@@ -299,12 +327,18 @@ def _read_nets(design: Design, path: str) -> None:
     by_name = {c.name: c for c in design.cells}
     current: list[Pin] = []
     net_name = ""
+    declared: int | None = None
+    headers = 0
     with open(path) as f:
         for raw in f:
             line = raw.strip()
-            if not line or line.startswith(("#", "UCLA", "NumNets", "NumPins")):
+            if line.startswith("NumNets"):
+                declared = _declared_count(path, line)
+                continue
+            if not line or line.startswith(("#", "UCLA", "NumPins")):
                 continue
             if line.startswith("NetDegree"):
+                headers += 1
                 if current:
                     design.netlist.add(Net(name=net_name, pins=tuple(current)))
                     current = []
@@ -321,3 +355,4 @@ def _read_nets(design: Design, path: str) -> None:
                 )
     if current:
         design.netlist.add(Net(name=net_name, pins=tuple(current)))
+    _check_count(path, "NumNets", declared, headers, "NetDegree headers")

@@ -32,9 +32,9 @@ def all_points(design, target_w, target_h):
 
 def evaluate(design, region, point, target, tx, ty, mode):
     fp = design.floorplan
-    return evaluate_insertion_point(
+    [ev] = evaluate_insertion_point(
         region,
-        point,
+        [point],
         target,
         desired_x=tx,
         desired_y=ty,
@@ -42,6 +42,7 @@ def evaluate(design, region, point, target, tx, ty, mode):
         site_height_um=fp.site_height_um,
         mode=mode,
     )
+    return ev
 
 
 def simulate_cost(design, region, point, target, x, tx, ty):
@@ -184,12 +185,19 @@ class TestOptimalXNoCurves:
         # int(round(desired_x)), and banker's rounding sent 5.5 to the
         # *even* neighbor 6; the shared floor/ceil candidate selection
         # breaks the tie toward the smaller equally-near site, as the
-        # main path does.
-        from repro.core.evaluation import _optimal_x
+        # main path does.  Both evaluators must agree on it.
+        from tests.reference_evaluation import optimal_x
 
-        assert _optimal_x([], 0, 10, 5.5) == 5
-        assert _optimal_x([], 0, 10, 4.5) == 4
-        assert _optimal_x([], 0, 10, 7.0) == 7
+        assert optimal_x([], 0, 10, 5.5) == 5
+        assert optimal_x([], 0, 10, 4.5) == 4
+        assert optimal_x([], 0, 10, 7.0) == 7
         # Clamping still applies.
-        assert _optimal_x([], 3, 10, 0.5) == 3
-        assert _optimal_x([], 0, 4, 9.0) == 4
+        assert optimal_x([], 3, 10, 0.5) == 3
+        assert optimal_x([], 0, 4, 9.0) == 4
+        # An empty row: the target's own curve is the only one.
+        d = make_design(num_rows=1, row_width=12)
+        t = add_unplaced(d, 2, 1, 0, 0)
+        region, [point] = all_points(d, 2, 1)
+        for desired, expected in ((5.5, 5), (4.5, 4), (7.0, 7), (12.0, 10)):
+            ev = evaluate(d, region, point, t, desired, 0.0, EvaluationMode.APPROX)
+            assert ev.target_x == expected

@@ -29,13 +29,10 @@ def evaluate_all(design, target, tx, ty, mode=EvaluationMode.EXACT):
     points = enumerate_insertion_points(
         region, feasible, discarded, target.height
     )
-    return region, [
-        evaluate_insertion_point(
-            region, p, target, tx, ty,
-            fp.site_width_um, fp.site_height_um, mode,
-        )
-        for p in points
-    ]
+    return region, evaluate_insertion_point(
+        region, points, target, tx, ty,
+        fp.site_width_um, fp.site_height_um, mode,
+    )
 
 
 class TestFanOut:
@@ -111,10 +108,8 @@ class TestDiamond:
         # Exact evaluation at x=2 must equal the realized displacement;
         # evaluate the displacement curve at x=2 directly.
         fp = d.floorplan
-        from repro.core.evaluation import (
-            _critical_positions_exact,
-            _total_cost,
-        )
+        from repro.core.evaluation import _critical_positions_exact
+        from tests.reference_evaluation import total_cost
         # Roll back before computing critical positions on the original.
         for row in t.rows_spanned():
             region.segments[row].cells.remove(t)
@@ -123,7 +118,7 @@ class TestDiamond:
         d.restore_positions(snapshot)
         pairs = _critical_positions_exact(region, point, t.width)
         pairs.append((0.0, 0.0))  # target's own V at desired x=0
-        cost_at_2 = _total_cost(pairs, 2) * fp.site_width_um
+        cost_at_2 = total_cost(pairs, 2) * fp.site_width_um
         assert cost_at_2 == pytest.approx(moved + own)
 
 

@@ -111,10 +111,8 @@ class TestFigure9MedianEvaluation:
             build_insertion_intervals,
             enumerate_insertion_points,
         )
-        from repro.core.evaluation import (
-            _critical_positions_exact,
-            _total_cost,
-        )
+        from repro.core.evaluation import _critical_positions_exact
+        from tests.reference_evaluation import total_cost
 
         d = make_design(num_rows=1, row_width=16)
         add_placed(d, 3, 1, 2, 0, name="c")
@@ -134,19 +132,19 @@ class TestFigure9MedianEvaluation:
         )
         pairs = _critical_positions_exact(region, mid, 2)
         xs = list(range(mid.x_lo, mid.x_hi + 1))
-        costs = [_total_cost(pairs, x) for x in xs]
+        costs = [total_cost(pairs, x) for x in xs]
         # Convexity: second differences never negative.
         for i in range(1, len(costs) - 1):
             assert costs[i + 1] - 2 * costs[i] + costs[i - 1] >= -1e-9
 
     def test_each_cell_curve_matches_equation_3(self):
-        from repro.core.evaluation import _total_cost
+        from tests.reference_evaluation import total_cost
 
         # One cell with critical positions (4, 7): the curve must be
         # x<4 -> 4-x, 4..7 -> 0, x>7 -> x-7 (paper equation (3)).
         pairs = [(4.0, 7.0)]
-        assert _total_cost(pairs, 2) == 2
-        assert _total_cost(pairs, 4) == 0
-        assert _total_cost(pairs, 5.5) == 0
-        assert _total_cost(pairs, 7) == 0
-        assert _total_cost(pairs, 9) == 2
+        assert total_cost(pairs, 2) == 2
+        assert total_cost(pairs, 4) == 0
+        assert total_cost(pairs, 5.5) == 0
+        assert total_cost(pairs, 7) == 0
+        assert total_cost(pairs, 9) == 2

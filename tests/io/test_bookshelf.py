@@ -95,3 +95,68 @@ class TestFiles:
         content = open(aux).read()
         for ext in ("nodes", "nets", "pl", "scl"):
             assert f"x.{ext}" in content
+
+
+class TestDeclaredCounts:
+    """A file cut short at a record boundary still parses; the header's
+    declared count is what exposes it."""
+
+    @pytest.fixture
+    def bundle(self, tmp_path):
+        design = generate_design(GeneratorConfig(num_cells=40, seed=3, name="cut"))
+        legalize(design, LegalizerConfig(seed=3))
+        return write_bookshelf(design, str(tmp_path))
+
+    @staticmethod
+    def _truncate(aux, ext, record, keep):
+        """Cut ``.ext`` of the bundle before its record number *keep*
+        (records are the lines starting with *record*); returns the
+        count its header declares."""
+        path = aux[: -len("aux")] + ext
+        lines = open(path).read().splitlines(keepends=True)
+        starts = [i for i, line in enumerate(lines) if line.startswith(record)]
+        with open(path, "w") as f:
+            f.writelines(lines[: starts[keep]])
+        header = next(line for line in lines if line.startswith("Num"))
+        return int(header.partition(":")[2])
+
+    def test_full_bundle_matches_its_counts(self, bundle):
+        design = read_bookshelf(bundle)
+        assert len(design.cells) == 40
+        assert len(design.floorplan.rows) > 3
+        assert len(design.netlist) > 5
+
+    def test_truncated_nodes(self, bundle):
+        declared = self._truncate(bundle, "nodes", "  ", 20)
+        with pytest.raises(
+            ValueError,
+            match=rf"cut\.nodes: NumNodes declares {declared} node lines "
+            "but 20 were read",
+        ):
+            read_bookshelf(bundle)
+
+    def test_truncated_scl(self, bundle):
+        declared = self._truncate(bundle, "scl", "CoreRow", 3)
+        with pytest.raises(
+            ValueError,
+            match=rf"cut\.scl: NumRows declares {declared} CoreRow blocks "
+            "but 3 were read",
+        ):
+            read_bookshelf(bundle)
+
+    def test_garbled_count_names_the_file(self, bundle):
+        path = bundle[: -len("aux")] + "nodes"
+        text = open(path).read().replace("NumNodes : 40", "NumNodes : 4O")
+        with open(path, "w") as f:
+            f.write(text)
+        with pytest.raises(ValueError, match=r"cut\.nodes: malformed header 'NumNodes : 4O'"):
+            read_bookshelf(bundle)
+
+    def test_truncated_nets(self, bundle):
+        declared = self._truncate(bundle, "nets", "NetDegree", 5)
+        with pytest.raises(
+            ValueError,
+            match=rf"cut\.nets: NumNets declares {declared} NetDegree headers "
+            "but 5 were read",
+        ):
+            read_bookshelf(bundle)

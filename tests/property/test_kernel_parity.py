@@ -1,38 +1,42 @@
-"""Property-based differential test: object kernel vs SoA kernel.
+"""Property-based differential tests of the production MLL stages.
 
-The SoA kernel's contract is *bit identity*, so the properties assert
-exact equality — of ``PlacementBounds`` dicts, of insertion-point
-streams, of evaluated target positions and float costs, and of the
-final placement digest after a full legalization — never approximate
-closeness.
+Each stage is checked against an independent reference, with exact
+equality throughout — never approximate closeness:
+
+* the scanline enumerator against
+  :func:`enumerate_insertion_points_bruteforce` (same point set, each
+  point emitted once);
+* the batched evaluator against the per-point evaluator in
+  ``tests/reference_evaluation``, on target positions and float costs;
+* EXACT evaluation against the local MILP optimum;
+* a whole legalization against the same run with the reference
+  evaluator patched into MLL, by placement digest.
 """
 
 from __future__ import annotations
 
 import random
+from unittest import mock
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.baselines import solve_local_milp
 from repro.core import (
     EvaluationMode,
-    Kernel,
     Legalizer,
     LegalizerConfig,
     MultiRowLocalLegalizer,
     build_insertion_intervals,
     compute_bounds,
     enumerate_insertion_points,
+    enumerate_insertion_points_bruteforce,
     extract_local_region,
-)
-from repro.core.soa import (
-    RegionSoA,
-    soa_compute_bounds,
-    soa_enumerate_insertion_points,
 )
 from repro.geometry import Rect
 from repro.testing.faults import design_state_digest
 from tests.conftest import add_unplaced, random_legal_design
+from tests.reference_evaluation import evaluate_points
 
 SETTINGS = settings(
     max_examples=25,
@@ -59,6 +63,10 @@ target_params = st.fixed_dictionaries(
     }
 )
 
+REFERENCE_EVALUATOR = mock.patch(
+    "repro.core.mll.evaluate_insertion_point", evaluate_points
+)
+
 
 def _build(params):
     rng = random.Random(params["seed"])
@@ -67,6 +75,16 @@ def _build(params):
         num_rows=params["num_rows"],
         row_width=params["row_width"],
         n_cells=params["n_cells"],
+    )
+
+
+def _add_target(design, params, target):
+    return add_unplaced(
+        design,
+        target["w"],
+        target["h"],
+        target["fx"] * (params["row_width"] - target["w"]),
+        target["fy"] * (params["num_rows"] - target["h"]),
     )
 
 
@@ -79,45 +97,54 @@ def test_bounds_and_enumeration_bit_identical(params, tw, th):
     )
     if not region.segments:
         return
-    expected_bounds = compute_bounds(region)
-    rsoa = RegionSoA.from_region(region)
-    assert soa_compute_bounds(rsoa) == expected_bounds
+    bounds = compute_bounds(region)
+    for cell in region.cells:
+        assert bounds.x_left(cell.id) <= cell.x <= bounds.x_right(cell.id)
 
-    feasible, discarded = build_insertion_intervals(
-        region, expected_bounds, tw
+    feasible, discarded = build_insertion_intervals(region, bounds, tw)
+    scan = enumerate_insertion_points(region, feasible, discarded, th)
+    brute = enumerate_insertion_points_bruteforce(region, feasible, th)
+    keys = [p.key() for p in scan]
+    assert len(set(keys)) == len(keys)
+    assert sorted(scan, key=lambda p: p.key()) == sorted(
+        brute, key=lambda p: p.key()
     )
-    expected_points = enumerate_insertion_points(
-        region, feasible, discarded, th
-    )
-    got_points = soa_enumerate_insertion_points(rsoa, feasible, discarded, th)
-    assert got_points == expected_points
 
 
 @given(params=design_params, target=target_params)
 @SETTINGS
 def test_evaluated_candidates_bit_identical(params, target):
     design = _build(params)
-    t = add_unplaced(
-        design,
-        target["w"],
-        target["h"],
-        target["fx"] * (params["row_width"] - target["w"]),
-        target["fy"] * (params["num_rows"] - target["h"]),
+    t = _add_target(design, params, target)
+    mll = MultiRowLocalLegalizer(
+        design, LegalizerConfig(evaluation=target["mode"])
     )
-    kernels = {}
-    for kernel in (Kernel.OBJECT, Kernel.SOA):
-        mll = MultiRowLocalLegalizer(
-            design,
-            LegalizerConfig(kernel=kernel, evaluation=target["mode"]),
-        )
-        kernels[kernel] = mll.evaluate_candidates(t, t.gp_x, t.gp_y)
-    expected = kernels[Kernel.OBJECT]
-    got = kernels[Kernel.SOA]
+    got = mll.evaluate_candidates(t, t.gp_x, t.gp_y)
+    with REFERENCE_EVALUATOR:
+        expected = mll.evaluate_candidates(t, t.gp_x, t.gp_y)
     assert len(got) == len(expected)
-    for ev_soa, ev_obj in zip(got, expected):
-        assert ev_soa.point == ev_obj.point
-        assert ev_soa.target_x == ev_obj.target_x
-        assert ev_soa.cost == ev_obj.cost  # exact float equality
+    for ev, ref in zip(got, expected):
+        assert ev.point == ref.point
+        assert ev.target_x == ref.target_x
+        assert ev.cost == ref.cost  # exact float equality
+
+
+@given(params=design_params, target=target_params)
+@SETTINGS
+def test_exact_evaluation_equals_milp_optimum(params, target):
+    design = _build(params)
+    t = _add_target(design, params, target)
+    mll = MultiRowLocalLegalizer(
+        design, LegalizerConfig(rx=8, ry=3, evaluation=EvaluationMode.EXACT)
+    )
+    candidates = mll.evaluate_candidates(t, t.gp_x, t.gp_y)
+    region = extract_local_region(design, mll.window_for(t, t.gp_x, t.gp_y))
+    sol = solve_local_milp(design, region, t, t.gp_x, t.gp_y)
+    if candidates:
+        assert sol is not None
+        assert abs(min(c.cost for c in candidates) - sol.cost_um) < 1e-6
+    else:
+        assert sol is None
 
 
 @given(params=design_params, seed=st.integers(0, 1_000))
@@ -127,8 +154,7 @@ def test_evaluated_candidates_bit_identical(params, target):
     suppress_health_check=[HealthCheck.too_slow],
 )
 def test_full_legalization_digest_parity(params, seed):
-    digests = {}
-    for kernel in (Kernel.OBJECT, Kernel.SOA):
+    def run():
         design = _build(params)
         rng = random.Random(seed)
         for _ in range(6):
@@ -143,9 +169,12 @@ def test_full_legalization_digest_parity(params, seed):
         # quarantine: a randomly infeasible instance must complete (with
         # the same stuck set) instead of raising LegalizationError.
         result = Legalizer(
-            design,
-            LegalizerConfig(seed=seed, kernel=kernel, quarantine=True),
+            design, LegalizerConfig(seed=seed, quarantine=True)
         ).run()
         stuck = tuple(s.cell_id for s in result.stuck.cells)
-        digests[kernel] = (result.placed, stuck, design_state_digest(design))
-    assert digests[Kernel.OBJECT] == digests[Kernel.SOA]
+        return result.placed, stuck, design_state_digest(design)
+
+    production = run()
+    with REFERENCE_EVALUATOR:
+        reference = run()
+    assert production == reference

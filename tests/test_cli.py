@@ -1,7 +1,12 @@
 """Unit tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.cli import main
 from repro.io import read_bookshelf
 
@@ -75,6 +80,29 @@ class TestLegalize:
         assert "violations 0" in captured
         assert main(["check", str(out / "clitest.aux")]) == 0
         capsys.readouterr()
+
+
+class TestStartup:
+    def test_import_leaves_scipy_unloaded(self):
+        # Only --algorithm optimal|milp|abacus|tetris needs the
+        # baselines, and through them scipy; no other run should pay
+        # for importing it.
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, repro.cli; print('scipy' in sys.modules)"],
+            capture_output=True,
+            text=True,
+            check=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.stdout.strip() == "False"
+
+    def test_legalize_help_has_no_kernel_switch(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["legalize", "--help"])
+        out = capsys.readouterr().out
+        assert "--exact" in out
+        assert "--kernel" not in out
 
 
 class TestLegalizeFailureReporting:
