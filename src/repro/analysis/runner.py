@@ -357,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--interprocedural",
         action="store_true",
         help="link all files into one program and run the "
-        "interprocedural rules (RL6-RL11) as well",
+        "interprocedural rules (RL6-RL13) as well",
     )
     parser.add_argument(
         "--no-cache",

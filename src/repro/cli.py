@@ -11,7 +11,7 @@ Subcommands::
     repro check     DIR/design.aux [--relaxed]                # verify only
     repro show      DIR/design.aux [--svg out.svg] [--window X Y W H]
     repro stats     DIR/design.aux                            # metrics
-    repro lint      [paths...] [--format text|json|sarif]
+    repro lint      [paths...] [--format text|json|sarif|github]
                     [--select CODES] [--ignore CODES] [--list-rules]
                     [--interprocedural] [--no-cache]
                     [--cache-file PATH]                       # repro-lint
@@ -20,7 +20,10 @@ Subcommands::
                     [--snapshot-dir DIR] [--relaxed]          # service
     repro worker    --connect HOST:PORT [--name ID]           # shard worker
 
-Also available as ``python -m repro ...``.
+Also available as ``python -m repro ...``.  ``lint`` and ``callgraph``
+own their parsers (:mod:`repro.analysis.runner`,
+:mod:`repro.analysis.callgraph`); the CLI forwards their argument tail
+untouched.
 
 Fault tolerance: ``--workers N`` runs execute under the shard
 supervisor (crash containment, per-shard timeouts, retry with backoff
@@ -140,6 +143,32 @@ def _restore_signal_handlers(previous) -> None:
         signal.signal(sig, old)
 
 
+def _make_engine_config(args: argparse.Namespace):
+    """Build the EngineConfig of a sharded run, or ``None`` when the run
+    is sequential (``--workers 1`` without ``--shards``, or a baseline
+    algorithm)."""
+    if not (args.algorithm == "mll" and (args.workers != 1 or args.shards)):
+        return None
+    from repro.engine import EngineConfig
+
+    bind_host, bind_port = _parse_hostport(args.bind)
+    return EngineConfig(
+        workers=args.workers,
+        shards=args.shards,
+        halo_sites=args.halo,
+        serial_threshold=args.serial_threshold,
+        shard_timeout_s=args.shard_timeout,
+        max_shard_retries=args.shard_retries,
+        transport=args.transport,
+        bind_host=bind_host,
+        bind_port=bind_port,
+        lease_ttl_s=args.lease_ttl,
+        heartbeat_interval_s=args.heartbeat_interval,
+        worker_wait_s=args.worker_wait,
+        drain_grace_s=args.drain_grace,
+    )
+
+
 def _make_checkpoint_manager(args: argparse.Namespace):
     """Build the CheckpointManager implied by --checkpoint/--resume."""
     if not (args.checkpoint or args.resume):
@@ -195,34 +224,24 @@ def _parse_hostport(value: str, default_host: str = "127.0.0.1") -> tuple[str, i
 
 
 def _cmd_legalize(args: argparse.Namespace) -> int:
+    # Option values are validated by the config constructors; build them
+    # before reading the design so a bad value fails fast, as a usage
+    # error.
+    try:
+        config = _make_config(args)
+        engine_config = _make_engine_config(args)
+        manager = _make_checkpoint_manager(args)
+    except ValueError as exc:
+        args.parser.error(str(exc))
     design = _load(args.aux)
     design.reset_placement()
-    config = _make_config(args)
-    manager = _make_checkpoint_manager(args)
     quarantined = None
     t0 = time.perf_counter()
     previous_handlers = _install_signal_handlers()
     try:
-        if args.algorithm == "mll" and (args.workers != 1 or args.shards):
-            from repro.engine import EngineConfig, legalize_sharded
+        if engine_config is not None:
+            from repro.engine import legalize_sharded
 
-            bind_host, bind_port = _parse_hostport(args.bind)
-            engine_config = EngineConfig(
-                workers=args.workers,
-                shards=args.shards,
-                halo_sites=args.halo,
-                serial_threshold=args.serial_threshold,
-                supervise=not args.no_supervise,
-                shard_timeout_s=args.shard_timeout,
-                max_shard_retries=args.shard_retries,
-                transport=args.transport,
-                bind_host=bind_host,
-                bind_port=bind_port,
-                lease_ttl_s=args.lease_ttl,
-                heartbeat_interval_s=args.heartbeat_interval,
-                worker_wait_s=args.worker_wait,
-                drain_grace_s=args.drain_grace,
-            )
             transport = None
             if args.transport == "tcp":
                 from repro.engine import TcpTransport
@@ -402,38 +421,21 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.analysis import runner as lint_runner
+def _cmd_lint(argv: list[str]) -> int:
+    from repro.analysis import runner
 
-    argv: list[str] = ["--format", args.format]
-    if args.select:
-        argv += ["--select", args.select]
-    if args.ignore:
-        argv += ["--ignore", args.ignore]
-    if args.interprocedural:
-        argv.append("--interprocedural")
-    if args.no_cache:
-        argv.append("--no-cache")
-    if args.cache_file:
-        argv += ["--cache-file", args.cache_file]
-    if args.list_rules:
-        argv.append("--list-rules")
-    argv.extend(args.paths)
-    return lint_runner.run(argv)
+    return runner.run(argv)
 
 
-def _cmd_callgraph(args: argparse.Namespace) -> int:
+def _cmd_callgraph(argv: list[str]) -> int:
     from repro.analysis import callgraph
 
-    argv: list[str] = []
-    if args.dot:
-        argv.append("--dot")
-    if args.json:
-        argv.append("--json")
-    if args.effects:
-        argv.append("--effects")
-    argv.extend(args.paths)
     return callgraph.run(argv)
+
+
+#: Subcommands whose parser lives with their implementation: ``main``
+#: hands them the raw argument tail.
+_FORWARDED = ("lint", "callgraph")
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -451,12 +453,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         snapshot_dir=args.snapshot_dir,
         allow_fault_injection=args.allow_fault_injection,
     )
-    legalizer = LegalizerConfig(
-        rx=args.rx,
-        ry=args.ry,
-        seed=args.seed,
-        power_aligned=not args.relaxed,
-    )
+    try:
+        legalizer = LegalizerConfig(
+            rx=args.rx,
+            ry=args.ry,
+            seed=args.seed,
+            power_aligned=not args.relaxed,
+        )
+    except ValueError as exc:
+        args.parser.error(str(exc))
     return asyncio.run(run_server(config, legalizer))
 
 
@@ -532,9 +537,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shard-retries", type=int, default=2,
                    help="worker-pool retries per shard before the "
                         "supervisor escalates to an in-process re-run")
-    p.add_argument("--no-supervise", action="store_true",
-                   help="bypass the shard supervisor: bare worker pool, "
-                        "no timeouts/retries, crash aborts the run")
     p.add_argument("--transport", choices=["local", "tcp"],
                    default="local",
                    help="where shards execute: the in-host pool "
@@ -577,7 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="directory for the legalized bundle")
     p.add_argument("--format", choices=["bookshelf", "lefdef"],
                    default="bookshelf")
-    p.set_defaults(func=_cmd_legalize)
+    p.set_defaults(func=_cmd_legalize, parser=p)
 
     p = sub.add_parser("gp", help="global placement from the netlist")
     p.add_argument("aux")
@@ -606,28 +608,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser(
-        "lint",
+        "lint", add_help=False,
         help="run repro-lint (AST invariant checks: journal-bypass, "
              "determinism, transaction-safety, exception taxonomy, "
-             "strict typing)",
+             "strict typing); `repro lint --help` for its options",
     )
-    p.add_argument("paths", nargs="*", default=["src"],
-                   help="files or directories to lint (default: src)")
-    p.add_argument("--format", choices=["text", "json", "sarif"],
-                   default="text")
-    p.add_argument("--select", metavar="CODES",
-                   help="comma-separated rule codes to run exclusively")
-    p.add_argument("--ignore", metavar="CODES",
-                   help="comma-separated rule codes to skip")
-    p.add_argument("--interprocedural", action="store_true",
-                   help="also run the whole-program rules (RL6-RL8)")
-    p.add_argument("--no-cache", action="store_true",
-                   help="disable the incremental result cache")
-    p.add_argument("--cache-file", metavar="PATH", default=None,
-                   help="cache file location "
-                        "(default: .repro-lint-cache.json)")
-    p.add_argument("--list-rules", action="store_true",
-                   help="print the rule catalog and exit")
     p.set_defaults(func=_cmd_lint)
 
     p = sub.add_parser(
@@ -662,7 +647,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--relaxed", action="store_true",
                    help="serve with power-rail alignment disabled")
-    p.set_defaults(func=_cmd_serve)
+    p.set_defaults(func=_cmd_serve, parser=p)
 
     p = sub.add_parser(
         "worker",
@@ -686,25 +671,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_worker)
 
     p = sub.add_parser(
-        "callgraph",
+        "callgraph", add_help=False,
         help="export the whole-program call graph (JSON or DOT), "
-             "optionally annotated with inferred effect summaries",
+             "optionally annotated with inferred effect summaries; "
+             "`repro callgraph --help` for its options",
     )
-    p.add_argument("paths", nargs="*", default=["src"],
-                   help="files or directories to analyze (default: src)")
-    p.add_argument("--dot", action="store_true",
-                   help="emit Graphviz DOT instead of JSON")
-    p.add_argument("--json", action="store_true",
-                   help="emit JSON (the default)")
-    p.add_argument("--effects", action="store_true",
-                   help="annotate functions with effect summaries")
     p.set_defaults(func=_cmd_callgraph)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args, rest = parser.parse_known_args(argv)
+    if args.command in _FORWARDED:
+        return args.func(rest)
+    if rest:
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
     return args.func(args)
 
 

@@ -11,9 +11,7 @@ summaries, merged-shard summaries and benchmark reports on the same
 definition.
 
 Nearest-rank: the p-th percentile of ``n`` ascending samples is the
-value at rank ``ceil(p/100 * n)`` (1-based), implemented here as
-``round(p/100 * n) - 1`` clamped into ``[0, n-1]`` — exactly the math
-``benchmarks/trajectory.py`` has always used.
+value at rank ``ceil(p/100 * n)`` (1-based), clamped into ``[1, n]``.
 
 No numpy here: the benchmarks import this from outside the package
 tree and must not pull in heavyweight dependencies at import time.
@@ -21,6 +19,7 @@ tree and must not pull in heavyweight dependencies at import time.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 
@@ -33,8 +32,10 @@ def nearest_rank(ordered: Sequence[float], pct: float) -> float:
     n = len(ordered)
     if n == 0:
         return 0.0
-    rank = max(0, min(n - 1, int(round(pct / 100.0 * n)) - 1))
-    return ordered[rank]
+    # The tolerance keeps pct * n / 100 == 9990.000000000002 (pct = 99.9,
+    # n = 10000) at rank 9990.
+    rank = max(1, min(n, math.ceil(pct * n / 100.0 - 1e-9)))
+    return ordered[rank - 1]
 
 
 def percentiles(

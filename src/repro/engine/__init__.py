@@ -5,11 +5,12 @@ inside a window of ``(2Rx + w_t) x (2Ry + h_t)`` around the target
 position (paper Section 3) — so MLL calls whose windows do not overlap
 commute.  This package exploits that: it tiles the floorplan into
 vertical-stripe *shards* with a halo (:mod:`repro.engine.partition`),
-legalizes every shard with the unmodified sequential legalizer inside a
-process pool (:mod:`repro.engine.shard_worker`,
-:mod:`repro.engine.executor`), and merges the per-shard deltas back,
-resolving the (rare) cross-seam conflicts with one final sequential MLL
-pass (:mod:`repro.engine.reconcile`).
+legalizes every shard with the unmodified sequential legalizer in
+supervised worker processes (:mod:`repro.engine.shard_worker`,
+:mod:`repro.engine.supervisor`, :mod:`repro.engine.executor`), and
+merges the per-shard deltas back, resolving the (rare) cross-seam
+conflicts with one final sequential MLL pass
+(:mod:`repro.engine.reconcile`).
 
 The merged placement passes :func:`~repro.checker.verify_placement`
 exactly like the sequential path, and ``workers=N`` runs are
@@ -30,12 +31,7 @@ from repro.engine.errors import (
     EngineError,
     RemoteProtocolError,
     ResumeMismatchError,
-    ShardAttemptError,
-    ShardRetriesExhaustedError,
-    ShardTimeoutError,
     TransportError,
-    WorkerCrashError,
-    WorkerUnavailableError,
 )
 from repro.engine.executor import EngineResult, ShardedLegalizer, legalize_sharded
 from repro.engine.partition import Partition, Shard, partition_design
@@ -87,13 +83,10 @@ __all__ = [
     "SeamReport",
     "Shard",
     "ShardAttempt",
-    "ShardAttemptError",
     "ShardCellSpec",
     "ShardOutcome",
-    "ShardRetriesExhaustedError",
     "ShardSupervisor",
     "ShardTask",
-    "ShardTimeoutError",
     "ShardTransport",
     "ShardedLegalizer",
     "SupervisionReport",
@@ -101,8 +94,6 @@ __all__ = [
     "TransportError",
     "TransportResult",
     "WorkerConfig",
-    "WorkerCrashError",
-    "WorkerUnavailableError",
     "apply_shard_outcomes",
     "backoff_delay_s",
     "build_shard_design",

@@ -58,9 +58,8 @@ from repro.engine.shard_worker import ShardOutcome, shard_seed
 #: Bump on any incompatible change to the pickled payload.
 CHECKPOINT_FORMAT = 1
 
-#: Leading bytes of a checksummed checkpoint file; the 32-byte SHA-256
-#: of the pickled payload follows, then the payload itself.  Files
-#: without the magic are read as legacy raw pickles (pre-checksum).
+#: Leading bytes of a checkpoint file; the 32-byte SHA-256 of the
+#: pickled payload follows, then the payload itself.
 CHECKPOINT_MAGIC = b"RPCKPT1\n"
 
 
@@ -176,11 +175,10 @@ def save_checkpoint(path: str, state: CheckpointState) -> None:
 def load_checkpoint(path: str) -> CheckpointState:
     """Load a checkpoint written by :func:`save_checkpoint`.
 
-    Checksummed files (leading :data:`CHECKPOINT_MAGIC`) are verified
-    before unpickling: a truncated or corrupt snapshot raises a
-    :class:`CheckpointError` naming the file, never a pickle traceback
-    and never a silently wrong resume.  Files without the magic are
-    read as legacy raw pickles.
+    The sha256 frame is verified before unpickling: a file without the
+    leading :data:`CHECKPOINT_MAGIC`, or a truncated or corrupt
+    snapshot, raises a :class:`CheckpointError` naming the file — never
+    a pickle traceback and never a silently wrong resume.
     """
     try:
         with open(path, "rb") as handle:
@@ -192,18 +190,21 @@ def load_checkpoint(path: str) -> CheckpointState:
             f"checkpoint {path!r} is unreadable: {exc}"
         ) from exc
 
-    if raw.startswith(CHECKPOINT_MAGIC):
-        header_len = len(CHECKPOINT_MAGIC) + hashlib.sha256().digest_size
-        digest = raw[len(CHECKPOINT_MAGIC):header_len]
-        body = raw[header_len:]
-        if len(raw) < header_len or hashlib.sha256(body).digest() != digest:
-            raise CheckpointError(
-                f"checkpoint {path!r} is truncated or corrupt "
-                f"(checksum mismatch over {len(body)} payload bytes); "
-                f"delete it and rerun without --resume"
-            )
-    else:
-        body = raw  # legacy pre-checksum snapshot: raw pickle
+    if not raw.startswith(CHECKPOINT_MAGIC):
+        raise CheckpointError(
+            f"checkpoint {path!r} is unreadable: no checkpoint header "
+            f"(an unframed or foreign file); delete it and rerun "
+            f"without --resume"
+        )
+    header_len = len(CHECKPOINT_MAGIC) + hashlib.sha256().digest_size
+    digest = raw[len(CHECKPOINT_MAGIC):header_len]
+    body = raw[header_len:]
+    if len(raw) < header_len or hashlib.sha256(body).digest() != digest:
+        raise CheckpointError(
+            f"checkpoint {path!r} is truncated or corrupt "
+            f"(checksum mismatch over {len(body)} payload bytes); "
+            f"delete it and rerun without --resume"
+        )
 
     try:
         payload = pickle.loads(body)

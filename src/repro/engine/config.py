@@ -13,6 +13,13 @@ from dataclasses import dataclass
 
 from repro.core.config import LegalizerConfig
 
+#: Retry rounds of Algorithm 1 the derived halo budgets for: round *k*
+#: perturbs targets by up to ``Rx * (k - 1)`` sites, so the halo covers
+#: perturbations up to ``Rx * HALO_RETRY_ROUNDS``.  Later retry targets
+#: snap back to the shard slice edge (a quality bound, not a
+#: correctness one).
+HALO_RETRY_ROUNDS = 3
+
 
 @dataclass(frozen=True, slots=True)
 class EngineConfig:
@@ -37,44 +44,17 @@ class EngineConfig:
     cross-shard conflicts are confined to seam bands of width
     ``2 * halo_sites``."""
 
-    halo_retry_rounds: int = 3
-    """Retry rounds of Algorithm 1 the derived halo budgets for: the
-    round-``k`` perturbation amplitude is ``Rx * (k - 1)``, so the
-    derived halo covers targets perturbed up to
-    ``Rx * halo_retry_rounds`` sites sideways.  Retry targets beyond the
-    shard slice simply snap back to the slice edge (the shard floorplan
-    has no segments outside it), so this is a quality knob, not a
-    correctness one."""
-
     serial_threshold: int = 2048
     """Designs with fewer movable cells than this run the plain
     sequential :class:`~repro.core.legalizer.Legalizer` — below this
     size, process fan-out costs more than it saves."""
 
-    balance_by_cells: bool = True
-    """Place stripe boundaries at cell-count quantiles of the GP x
-    distribution (balanced work per shard) instead of equal-width
-    stripes."""
-
-    validate: bool = True
-    """Run the independent checker on the merged placement and raise
-    :class:`~repro.engine.reconcile.ReconcileError` on any violation, so
-    the engine's contract is *exactly* the sequential path's."""
-
     # -- supervision (fault tolerance of the worker fleet) -------------
-    supervise: bool = True
-    """Run worker shards under the :class:`~repro.engine.supervisor.
-    ShardSupervisor` (timeouts, crash containment, retry with backoff,
-    the degradation ladder).  ``False`` restores the bare
-    ``ProcessPoolExecutor`` fan-out, where one worker crash surfaces as
-    :class:`~repro.engine.errors.WorkerCrashError` (wrapping
-    ``BrokenProcessPool``) and aborts the run."""
-
     shard_timeout_s: float | None = None
     """Per-attempt wall-clock budget of one shard, measured from worker
     dispatch.  On expiry the worker process is terminated and the shard
-    retried (:class:`~repro.engine.errors.ShardTimeoutError` in the
-    supervision report).  ``None`` (default) disables timeouts."""
+    retried (a ``timeout`` attempt in the supervision report).  ``None``
+    (default) disables timeouts."""
 
     max_shard_retries: int = 2
     """Worker-pool retries per shard after its first attempt, before
@@ -90,19 +70,6 @@ class EngineConfig:
 
     backoff_max_s: float = 30.0
     """Upper bound on a single backoff delay."""
-
-    backoff_jitter: float = 0.25
-    """Multiplicative jitter fraction: the delay is scaled by a factor
-    drawn uniformly from ``[1, 1 + backoff_jitter]``, seeded from the
-    shard seed and attempt (deterministic, decorrelated across shards
-    so retries do not stampede in lockstep).  ``0`` disables jitter."""
-
-    serial_fallback: bool = True
-    """Last rung of the degradation ladder: when a shard fails even the
-    in-process re-run, abandon the sharded plan and legalize the whole
-    design with the plain sequential driver (correct by construction,
-    just not parallel).  ``False`` raises
-    :class:`~repro.engine.errors.ShardRetriesExhaustedError` instead."""
 
     # -- distributed transport (multi-host shard execution) -------------
     transport: str = "local"
@@ -132,22 +99,14 @@ class EngineConfig:
     must be smaller than :attr:`lease_ttl_s`."""
 
     worker_wait_s: float = 30.0
-    """How long the coordinator waits for the *first* remote worker to
-    join before degrading the whole plan to the local transport (rung 2
-    of the remote ladder)."""
+    """How long the coordinator waits for a remote worker to join (or,
+    after the whole fleet died, to rejoin) before handing its queue to
+    the local supervisor pool."""
 
     drain_grace_s: float = 5.0
     """On coordinator shutdown (SIGTERM or run teardown) with leases
     still in flight, how long to keep accepting results so a final
     checkpoint captures every shard that was about to land."""
-
-    remote_fallback: bool = True
-    """Remote rung of the degradation ladder: when no worker joins, or
-    a shard exhausts its remote retries, hand the remaining shards to
-    the local supervisor pool (then in-process, then serial — the
-    existing ladder).  ``False`` raises
-    :class:`~repro.engine.errors.WorkerUnavailableError` /
-    :class:`~repro.engine.errors.ShardRetriesExhaustedError` instead."""
 
     def __post_init__(self) -> None:
         if self.workers < 0:
@@ -156,8 +115,6 @@ class EngineConfig:
             raise ValueError("shards must be >= 1")
         if self.halo_sites is not None and self.halo_sites < 0:
             raise ValueError("halo_sites must be >= 0")
-        if self.halo_retry_rounds < 0:
-            raise ValueError("halo_retry_rounds must be >= 0")
         if self.serial_threshold < 0:
             raise ValueError("serial_threshold must be >= 0")
         if self.shard_timeout_s is not None and self.shard_timeout_s <= 0:
@@ -166,8 +123,6 @@ class EngineConfig:
             raise ValueError("max_shard_retries must be >= 0")
         if self.backoff_base_s < 0 or self.backoff_max_s < 0:
             raise ValueError("backoff delays must be >= 0")
-        if self.backoff_jitter < 0:
-            raise ValueError("backoff_jitter must be >= 0")
         if self.transport not in ("local", "tcp"):
             raise ValueError(
                 f"unknown transport {self.transport!r} "
@@ -201,22 +156,20 @@ class EngineConfig:
             return max(1, os.cpu_count() or 1)
 
 
-def derive_halo_sites(
-    config: LegalizerConfig, max_cell_width: int, retry_rounds: int = 3
-) -> int:
+def derive_halo_sites(config: LegalizerConfig, max_cell_width: int) -> int:
     """Halo width guaranteeing full MLL feasibility for interior targets.
 
     An MLL window for a target position ``tx`` spans ``[tx - Rx,
     tx + Rx + w_t)`` (paper Section 3), and Algorithm 1 perturbs retry
     targets by up to ``Rx * (k - 1)`` sites in round ``k``.  A halo of::
 
-        2*Rx + max_cell_width + Rx * min(max_rounds - 1, retry_rounds)
+        2*Rx + max_cell_width + Rx * min(max_rounds - 1, 3)
 
     therefore keeps the *entire* window of any interior cell — including
-    its first ``retry_rounds`` retry perturbations — inside the shard
-    slice, so no MLL window is clipped by the shard boundary and no MLL
-    window reaches past the neighbor's halo into *its* interior's far
-    side.  See ``docs/parallel_engine.md`` for the full argument.
+    its first :data:`HALO_RETRY_ROUNDS` retry perturbations — inside the
+    shard slice, so no MLL window is clipped by the shard boundary and
+    no MLL window reaches past the neighbor's halo into *its* interior's
+    far side.  See ``docs/parallel_engine.md`` for the full argument.
     """
-    rounds = min(max(config.max_rounds - 1, 0), retry_rounds)
+    rounds = min(max(config.max_rounds - 1, 0), HALO_RETRY_ROUNDS)
     return 2 * config.rx + max(0, max_cell_width) + config.rx * rounds

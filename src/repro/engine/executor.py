@@ -87,10 +87,10 @@ class EngineResult:
     """Per-shard statistics in shard-id order (empty on fallback)."""
 
     supervision: SupervisionReport | None = None
-    """What the supervisor saw (``None`` on unsupervised / sequential
-    runs): attempts, crashes, timeouts, retries, escalations — plus
-    lease expiries, duplicate deliveries and worker counts on the TCP
-    transport."""
+    """What the supervisor saw (``None`` on in-process ``workers=1`` and
+    sequential runs): attempts, crashes, timeouts, retries, escalations
+    — plus lease expiries, duplicate deliveries and worker counts on the
+    TCP transport."""
 
     transport: str = "local"
     """Which :class:`~repro.engine.transport.ShardTransport` ran the
@@ -248,7 +248,6 @@ class ShardedLegalizer:
             config=self.config,
             deferred_cells=deferred,
             telemetry=self.telemetry,
-            validate=self.engine.validate,
         )
 
         total = LegalizationResult()

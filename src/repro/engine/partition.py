@@ -67,18 +67,19 @@ def _cell_center_x(cell: Cell, row_width: int) -> float:
 
 
 def _stripe_boundaries(
-    centers: list[float], num_shards: int, row_width: int, balance: bool
+    centers: list[float], num_shards: int, row_width: int
 ) -> list[int]:
     """Interior boundaries ``[0, b1, ..., row_width]``, strictly increasing.
 
-    With *balance*, interior edges sit at cell-count quantiles of the GP
-    x distribution so every shard owns a similar number of cells;
-    otherwise stripes are equal width.  Degenerate quantiles (clustered
-    designs) collapse duplicate boundaries, lowering the effective shard
-    count rather than emitting empty zero-width stripes.
+    Interior edges sit at cell-count quantiles of the GP x distribution
+    so every shard owns a similar number of cells; with no owned cells
+    (every movable cell fenced) stripes are equal width.  Degenerate
+    quantiles (clustered designs) collapse duplicate boundaries,
+    lowering the effective shard count rather than emitting empty
+    zero-width stripes.
     """
     bounds = [0]
-    if balance and centers:
+    if centers:
         xs = sorted(centers)
         for i in range(1, num_shards):
             q = xs[min(len(xs) - 1, (i * len(xs)) // num_shards)]
@@ -121,7 +122,7 @@ def partition_design(
     halo = (
         engine.halo_sites
         if engine.halo_sites is not None
-        else derive_halo_sites(config, max_w, engine.halo_retry_rounds)
+        else derive_halo_sites(config, max_w)
     )
 
     requested = engine.shards if engine.shards is not None else engine.resolved_workers()
@@ -131,7 +132,7 @@ def partition_design(
     num_shards = max(1, min(requested, row_width // max(1, max_w)))
 
     centers = [_cell_center_x(c, row_width) for c in owned]
-    bounds = _stripe_boundaries(centers, num_shards, row_width, engine.balance_by_cells)
+    bounds = _stripe_boundaries(centers, num_shards, row_width)
 
     # bounds = [0, b1, ..., row_width]; interior i = [bounds[i], bounds[i+1]).
     interior_starts = bounds[:-1]

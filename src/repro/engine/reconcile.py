@@ -22,6 +22,7 @@ from repro.core.instrumentation import MllTelemetry
 from repro.core.legalizer import LegalizationResult, Legalizer
 from repro.db.cell import Cell
 from repro.db.design import Design
+from repro.db.journal import Transaction
 from repro.engine.errors import EngineError
 from repro.engine.shard_worker import ShardOutcome
 
@@ -100,8 +101,6 @@ def reconcile(
     config: LegalizerConfig | None = None,
     deferred_cells: list[Cell] | None = None,
     telemetry: MllTelemetry | None = None,
-    validate: bool = True,
-    transactional: bool = True,
 ) -> SeamReport:
     """Merge *outcomes* into *design* and clear every seam conflict.
 
@@ -110,50 +109,38 @@ def reconcile(
     contract as :meth:`Legalizer.run`) — unless ``config.quarantine`` is
     on, in which case those cells land in ``seam_stats.stuck`` and the
     merge commits with partial legality.  Raises :class:`ReconcileError`
-    when *validate* is set and the independent checker still finds a
-    violation among the *placed* cells afterwards.
+    when the independent checker still finds a violation among the
+    *placed* cells afterwards.
 
-    With *transactional* (the default) the whole merge — delta
-    application plus the final sequential pass — runs inside one
-    :class:`~repro.db.journal.Transaction`: any exception (a failed seam
-    pass, a checker violation, an injected fault) rolls the master
-    design back to its pre-reconcile state before propagating, instead
-    of leaving a half-merged placement behind.
+    The whole merge — delta application, the final sequential pass and
+    the checker — runs inside one :class:`~repro.db.journal.Transaction`:
+    any exception (a failed seam pass, a checker violation, an injected
+    fault) rolls the master design back to its pre-reconcile state
+    before propagating, instead of leaving a half-merged placement
+    behind.
     """
     config = config if config is not None else LegalizerConfig()
-    if transactional:
-        from repro.db.journal import Transaction
+    with Transaction(design):
+        conflicts, report = apply_shard_outcomes(
+            design, outcomes, power_aligned=config.power_aligned
+        )
+        if deferred_cells:
+            conflicts = conflicts + list(deferred_cells)
+            report.deferred = len(deferred_cells)
 
-        with Transaction(design):
-            return reconcile(
-                design,
-                outcomes,
-                config=config,
-                deferred_cells=deferred_cells,
-                telemetry=telemetry,
-                validate=validate,
-                transactional=False,
+        if conflicts:
+            seam_legalizer = Legalizer(design, config)
+            if telemetry is not None:
+                seam_legalizer.mll.telemetry = telemetry
+            # origin="seam": under config.quarantine, cells this final
+            # pass cannot place are reported (result.stuck) instead of
+            # raised, tagged as seam-pass quarantines; the merge then
+            # commits with partial legality and the checker below
+            # audits the placed subset (require_all_placed=False).
+            report.seam_stats = seam_legalizer.run(
+                cells=conflicts, origin="seam"
             )
 
-    conflicts, report = apply_shard_outcomes(
-        design, outcomes, power_aligned=config.power_aligned
-    )
-    if deferred_cells:
-        conflicts = conflicts + list(deferred_cells)
-        report.deferred = len(deferred_cells)
-
-    if conflicts:
-        seam_legalizer = Legalizer(design, config)
-        if telemetry is not None:
-            seam_legalizer.mll.telemetry = telemetry
-        # origin="seam": under config.quarantine, cells this final pass
-        # cannot place are reported (result.stuck) instead of raised,
-        # tagged as seam-pass quarantines; the merge then commits with
-        # partial legality and the checker below audits the placed
-        # subset (require_all_placed=False).
-        report.seam_stats = seam_legalizer.run(cells=conflicts, origin="seam")
-
-    if validate:
         violations = verify_placement(
             design,
             power_aligned=config.power_aligned,

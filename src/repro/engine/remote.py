@@ -21,8 +21,7 @@ capacity is always recoverable:
   that exhaust their remote retries — or the whole queue, when no
   worker joins within ``worker_wait_s`` — fall back to the local
   :class:`~repro.engine.supervisor.ShardSupervisor` (pool →
-  in-process → serial), unless ``remote_fallback=False`` demands a
-  loud failure instead;
+  in-process → serial);
 * on **drain** (:meth:`TcpTransport.request_drain`, wired to SIGTERM
   by the CLI) the coordinator stops dispatching, honors in-flight
   leases for ``drain_grace_s`` so their outcomes reach the checkpoint,
@@ -48,12 +47,7 @@ import traceback
 from dataclasses import dataclass, replace
 
 from repro.engine.config import EngineConfig
-from repro.engine.errors import (
-    RemoteProtocolError,
-    ShardRetriesExhaustedError,
-    TransportError,
-    WorkerUnavailableError,
-)
+from repro.engine.errors import RemoteProtocolError, TransportError
 from repro.engine.shard_worker import ShardOutcome, ShardTask, run_shard
 from repro.engine.supervisor import (
     POLL_INTERVAL_S,
@@ -125,8 +119,6 @@ class TcpTransport(ShardTransport):
         self._settled: dict[int, ShardOutcome] = {}
         self._deliveries: list[ShardOutcome] = []
         self._escalate: list[ShardTask] = []
-        self._fatal: TransportError | ShardRetriesExhaustedError | None = None
-        self._worker_joined = False
         self._last_worker_s: float | None = None
         self._draining = False
         self._drain_requested = False
@@ -194,8 +186,6 @@ class TcpTransport(ShardTransport):
             self._serve(started, on_outcome, outcomes)
         finally:
             self._drain(on_outcome, outcomes)
-        if self._fatal is not None:
-            raise self._fatal
         if self._drain_requested:
             with self._lock:
                 unsettled = [
@@ -247,7 +237,7 @@ class TcpTransport(ShardTransport):
         while True:
             self._apply_deliveries(on_outcome, outcomes)
             with self._lock:
-                if self._fatal is not None or self._drain_requested:
+                if self._drain_requested:
                     return
                 now = time.monotonic()
                 self._expire_leases(now)
@@ -296,7 +286,7 @@ class TcpTransport(ShardTransport):
             self._retry_or_escalate(rec.task, rec.attempt, now)
 
     def _check_worker_wait(self, started: float, now: float) -> None:
-        """Work is queued but no worker is connected: degrade or fail.
+        """Work is queued but no worker is connected: degrade.
 
         Covers both "no worker ever joined" and "every worker died":
         the wait clock restarts whenever a live worker is present, so
@@ -310,13 +300,6 @@ class TcpTransport(ShardTransport):
             self._last_worker_s if self._last_worker_s is not None else started
         )
         if now - reference <= self.engine.worker_wait_s:
-            return
-        if not self.engine.remote_fallback:
-            self._fatal = WorkerUnavailableError(
-                f"no remote worker {'re' if self._worker_joined else ''}"
-                f"joined within {self.engine.worker_wait_s}s and "
-                f"remote_fallback is off"
-            )
             return
         moved = [task for _, _, task, _ in self._pending]
         self._pending.clear()
@@ -413,7 +396,6 @@ class TcpTransport(ShardTransport):
             if conn_id not in self._helloed:
                 now = time.monotonic()
                 self._helloed.add(conn_id)
-                self._worker_joined = True
                 self._last_worker_s = now
                 self.report.remote_workers += 1
 
@@ -422,7 +404,7 @@ class TcpTransport(ShardTransport):
             if conn_id not in self._helloed:
                 raise RemoteProtocolError("steal before hello")
             now = time.monotonic()
-            if self._draining or self._fatal is not None:
+            if self._draining:
                 reply: dict[str, object] = {"op": "drain"}
             else:
                 self._pending.sort()
@@ -544,15 +526,9 @@ class TcpTransport(ShardTransport):
             self.report.retries += 1
             self.report.backoff_total_s += delay
             self._pending.append((now + delay, sid, task, attempt + 1))
-        elif self.engine.remote_fallback:
+        else:
             self.report.remote_fallbacks += 1
             self._escalate.append(task)
-        else:
-            self._fatal = ShardRetriesExhaustedError(
-                f"shard {sid} failed every remote attempt and "
-                f"remote_fallback is off",
-                shard_id=sid,
-            )
 
     def _record(
         self,

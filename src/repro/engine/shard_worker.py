@@ -35,7 +35,11 @@ from repro.db.floorplan import Floorplan
 from repro.db.library import Library, Rail
 from repro.db.netlist import Netlist
 from repro.geometry import Rect
-from repro.testing.faults import ShardFaultSpec, worker_fault_from_env
+from repro.testing.faults import (
+    ShardFaultSpec,
+    sanitizer_enabled,
+    worker_fault_from_env,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -156,12 +160,13 @@ def run_shard(task: ShardTask) -> ShardOutcome:
 
     When the differential sanitizer is armed (``REPRO_SANITIZE=1``) the
     shard body runs under a worker-local effect trace whose serialized
-    events ride home on ``ShardOutcome.sanitizer_events``.
+    events ride home on ``ShardOutcome.sanitizer_events``; the
+    sanitizer is imported only then.
     """
-    from repro.testing.sanitizer import Sanitizer, sanitizer_enabled
-
     if not sanitizer_enabled():
         return _run_shard_impl(task)
+    from repro.testing.sanitizer import Sanitizer
+
     with Sanitizer() as trace:
         outcome = _run_shard_impl(task)
     return replace(outcome, sanitizer_events=trace.serialized())

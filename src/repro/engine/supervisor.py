@@ -1,28 +1,25 @@
 """Supervised execution of shard tasks: contain, retry, degrade.
 
-PR 1's executor fanned shards out to a bare ``ProcessPoolExecutor``.
-That is fast and simple, but brittle in exactly the ways that matter at
-production scale: one OOM-killed worker poisons the whole pool
-(``BrokenProcessPool``), one wedged shard stalls the run forever, and
-either way every *finished* shard's work is discarded.
+Every ``workers > 1`` run executes its shards under
+:class:`ShardSupervisor`: a small supervision loop over one
+:class:`multiprocessing.Process` per in-flight shard attempt (at most
+``workers`` concurrently).  Owning the processes directly — instead of
+renting them from a pool, where one dead worker poisons every in-flight
+future — is what makes fault tolerance possible: a hung worker can be
+*terminated* without collateral damage, and a crashed worker kills only
+its own shard attempt, never its siblings.
 
-:class:`ShardSupervisor` replaces the bare pool with a small supervision
-loop over one :class:`multiprocessing.Process` per in-flight shard
-attempt (at most ``workers`` concurrently).  Owning the processes
-directly — instead of renting them from a pool — is what makes real
-fault tolerance possible: a hung worker can be *terminated* without
-collateral damage, and a crashed worker kills only its own shard
-attempt, never its siblings.
-
-Failure handling is a three-rung **degradation ladder**:
+Failure handling is a three-rung **degradation ladder**; each rung
+covers a case the one before it cannot:
 
 1. **retry in the pool** — up to ``EngineConfig.max_shard_retries``
-   re-dispatches with exponential backoff + deterministic jitter;
+   re-dispatches with exponential backoff + deterministic jitter, for
+   a transient fault (OOM kill, a starved host);
 2. **in-process re-run** — the shard executes inside the supervising
-   process itself (immune to worker-process failure modes);
+   process itself, for a crash or hang that only happens in a child;
 3. **whole-design serial fallback** — the executor abandons the
-   sharded plan and runs the plain sequential driver (correct by
-   construction, just not parallel).
+   sharded plan and runs the plain sequential driver, for a shard that
+   raises everywhere (correct by construction, just not parallel).
 
 Determinism: a retried shard reuses its derived seed
 (:func:`~repro.engine.shard_worker.shard_seed`), and ``run_shard`` is a
@@ -41,11 +38,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from repro.engine.config import EngineConfig
-from repro.engine.errors import (
-    ShardRetriesExhaustedError,
-    ShardTimeoutError,
-    WorkerCrashError,
-)
 from repro.engine.shard_worker import ShardOutcome, ShardTask, run_shard
 
 #: Seconds between supervision-loop polls of the running workers.
@@ -55,12 +47,16 @@ POLL_INTERVAL_S = 0.02
 #: worker.
 TERMINATE_GRACE_S = 0.5
 
+#: Multiplicative backoff jitter: each delay is scaled by a factor drawn
+#: from ``[1, 1 + BACKOFF_JITTER]``.
+BACKOFF_JITTER = 0.25
+
 
 def backoff_delay_s(engine: EngineConfig, seed: int, attempt: int) -> float:
     """Exponential backoff with deterministic, decorrelated jitter.
 
     Attempt *k* (1-based) waits ``backoff_base_s * 2**(k-1)`` seconds,
-    jittered by a factor drawn from ``[1, 1 + backoff_jitter]`` using a
+    jittered by a factor drawn from ``[1, 1 + BACKOFF_JITTER]`` using a
     generator seeded from ``(seed, attempt)`` — the same (shard-derived)
     seed always reproduces the same delay sequence, and distinct shards
     decorrelate so retries never stampede in lockstep.
@@ -73,10 +69,10 @@ def backoff_delay_s(engine: EngineConfig, seed: int, attempt: int) -> float:
     delay = min(
         engine.backoff_base_s * (2 ** (attempt - 1)), engine.backoff_max_s
     )
-    if engine.backoff_jitter > 0 and delay > 0:
+    if delay > 0:
         rng = random.Random((seed << 8) ^ attempt)
         delay = min(
-            delay * (1.0 + engine.backoff_jitter * rng.random()),
+            delay * (1.0 + BACKOFF_JITTER * rng.random()),
             engine.backoff_max_s,
         )
     return delay
@@ -189,6 +185,7 @@ class _Running:
     conn: "multiprocessing.connection.Connection"
     started: float
     deadline: float | None
+    reaped: bool = False
 
 
 def _shard_child(
@@ -235,9 +232,7 @@ class ShardSupervisor:
 
     :meth:`run` returns ``(outcomes, report)``.  When
     ``report.serial_fallback`` is set the outcomes are unusable as a
-    set and the caller must degrade to the sequential path; with
-    ``engine.serial_fallback`` off, :class:`ShardRetriesExhaustedError`
-    is raised instead.
+    set and the caller must degrade to the sequential path.
     """
 
     def __init__(
@@ -292,12 +287,6 @@ class ShardSupervisor:
             self._run_inprocess(task, outcomes)
 
         if self.report.failed_shards:
-            if not self.engine.serial_fallback:
-                raise ShardRetriesExhaustedError(
-                    f"shards {self.report.failed_shards} failed every "
-                    f"supervision rung (pool retries + in-process)",
-                    shard_id=self.report.failed_shards[0],
-                )
             self.report.serial_fallback = True
 
         ordered = [outcomes[sid] for sid in sorted(outcomes)]
@@ -401,32 +390,27 @@ class ShardSupervisor:
             return True
 
         if not rec.process.is_alive():
-            # Vanished without a message: the BrokenProcessPool case,
-            # contained to this one shard attempt.
+            # Vanished without a message (OOM kill, segfault, os._exit):
+            # contained to this one shard attempt.  The exit code follows
+            # Process.exitcode: -N means killed by signal N.
             exitcode = rec.process.exitcode
             self._reap(rec)
-            crash = WorkerCrashError(
+            self.report.crashes += 1
+            self._record(
+                sid, rec.attempt, "pool", "crash", elapsed,
                 f"shard {sid} worker (attempt {rec.attempt}) died with "
                 f"exitcode {exitcode} before delivering its outcome",
-                shard_id=sid,
-                exitcode=exitcode,
             )
-            self.report.crashes += 1
-            self._record(sid, rec.attempt, "pool", "crash", elapsed, str(crash))
             self._retry_or_escalate(rec, pending, escalate, now)
             return True
 
         if rec.deadline is not None and now >= rec.deadline:
             self._reap(rec)  # terminate → kill → join
-            timeout = ShardTimeoutError(
-                f"shard {sid} attempt {rec.attempt} exceeded its "
-                f"{self.engine.shard_timeout_s}s wall-clock budget",
-                shard_id=sid,
-                timeout_s=self.engine.shard_timeout_s,
-            )
             self.report.timeouts += 1
             self._record(
-                sid, rec.attempt, "pool", "timeout", elapsed, str(timeout)
+                sid, rec.attempt, "pool", "timeout", elapsed,
+                f"shard {sid} attempt {rec.attempt} exceeded its "
+                f"{self.engine.shard_timeout_s}s wall-clock budget",
             )
             self._retry_or_escalate(rec, pending, escalate, now)
             return True
@@ -445,17 +429,13 @@ class ShardSupervisor:
     ) -> None:
         sid = rec.task.shard_id
         if rec.attempt <= self.engine.max_shard_retries:
-            delay = self._backoff_s(rec.task, rec.attempt)
+            delay = backoff_delay_s(self.engine, rec.task.seed, rec.attempt)
             self.report.retries += 1
             self.report.backoff_total_s += delay
             pending.append((now + delay, sid, rec.task, rec.attempt + 1))
         else:
             self.report.inprocess_escalations += 1
             escalate.append(rec.task)
-
-    def _backoff_s(self, task: ShardTask, attempt: int) -> float:
-        """See :func:`backoff_delay_s` (one policy, local and remote)."""
-        return backoff_delay_s(self.engine, task.seed, attempt)
 
     def _run_inprocess(
         self, task: ShardTask, outcomes: dict[int, ShardOutcome]
@@ -514,7 +494,15 @@ class ShardSupervisor:
         )
 
     def _reap(self, rec: _Running) -> None:
-        """Close the pipe and make sure the child is gone."""
+        """Close the pipe and make sure the child is gone.
+
+        Idempotent: when delivering an outcome raises (a checkpoint
+        write error, a signal), the already-reaped attempt is still in
+        the running list that :meth:`run`'s ``finally`` sweeps.
+        """
+        if rec.reaped:
+            return
+        rec.reaped = True
         try:
             rec.conn.close()
         except OSError:  # pragma: no cover - already closed

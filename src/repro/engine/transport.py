@@ -7,11 +7,9 @@ deltas back — but *how the tasks reach a CPU* is a
 :class:`ShardTransport`:
 
 ``LocalTransport``
-    the existing in-host paths, verbatim: serial in-process for
-    ``workers=1``, the :class:`~repro.engine.supervisor.ShardSupervisor`
-    (timeouts, crash containment, retry, the degradation ladder) when
-    supervision is on, and the bare ``ProcessPoolExecutor`` when it is
-    off.  The default; byte-identical behavior to every prior PR.
+    the in-host paths: serial in-process for ``workers=1``, otherwise
+    the :class:`~repro.engine.supervisor.ShardSupervisor` (timeouts,
+    crash containment, retry, the degradation ladder).  The default.
 
 ``TcpTransport`` (:mod:`repro.engine.remote`)
     a coordinator serving a work-stealing shard queue to ``repro
@@ -30,13 +28,10 @@ deaths, reconnects or steals) cannot influence the final placement.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.engine.config import EngineConfig
-from repro.engine.errors import WorkerCrashError
 from repro.engine.shard_worker import ShardOutcome, ShardTask, run_shard
 from repro.engine.supervisor import ShardSupervisor, SupervisionReport
 
@@ -52,7 +47,8 @@ class TransportResult:
     """Successful shard outcomes (any order; the executor sorts)."""
 
     supervision: SupervisionReport | None = None
-    """Fault-handling record, ``None`` only on unsupervised paths."""
+    """Fault-handling record, ``None`` only on the in-process
+    ``workers=1`` path."""
 
     workers: int = 1
     """Concurrency the transport actually used (local processes or
@@ -98,14 +94,8 @@ class ShardTransport(ABC):
 
 
 class LocalTransport(ShardTransport):
-    """The in-host transport: PR 1–3 execution paths, verbatim.
-
-    Path selection matches the pre-transport executor exactly so the
-    refactor is a zero-behavior change: ``workers <= 1`` runs shards
-    serially in-process, ``engine.supervise`` runs the supervisor, and
-    ``supervise=False`` keeps the bare pool (including its
-    all-or-nothing :class:`WorkerCrashError` failure mode).
-    """
+    """The in-host transport: ``workers <= 1`` runs shards serially
+    in-process, anything more runs them under the supervisor."""
 
     name = "local"
 
@@ -123,20 +113,17 @@ class LocalTransport(ShardTransport):
         if workers <= 1:
             outcomes = self._run_inprocess(tasks, on_outcome, completed)
             return TransportResult(outcomes=outcomes, workers=1)
-        if self.engine.supervise:
-            supervisor = ShardSupervisor(
-                tasks,
-                self.engine,
-                workers=workers,
-                on_outcome=on_outcome,
-                completed=completed,
-            )
-            outcomes, report = supervisor.run()
-            return TransportResult(
-                outcomes=outcomes, supervision=report, workers=workers
-            )
-        outcomes = self._run_bare_pool(tasks, workers, on_outcome)
-        return TransportResult(outcomes=outcomes, workers=workers)
+        supervisor = ShardSupervisor(
+            tasks,
+            self.engine,
+            workers=workers,
+            on_outcome=on_outcome,
+            completed=completed,
+        )
+        outcomes, report = supervisor.run()
+        return TransportResult(
+            outcomes=outcomes, supervision=report, workers=workers
+        )
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -160,32 +147,6 @@ class LocalTransport(ShardTransport):
             if on_outcome is not None:
                 on_outcome(outcome)
             outcomes.append(outcome)
-        return outcomes
-
-    @staticmethod
-    def _run_bare_pool(
-        tasks: list[ShardTask],
-        workers: int,
-        on_outcome: OutcomeHook | None,
-    ) -> list[ShardOutcome]:
-        """``supervise=False``: the PR-1 bare ``ProcessPoolExecutor``.
-
-        No timeouts, no retry: one worker crash poisons the pool and
-        surfaces as :class:`WorkerCrashError` (wrapping
-        ``BrokenProcessPool``), aborting the run.  Kept for A/B
-        comparison and as the minimal-overhead path on trusted hosts.
-        """
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(run_shard, tasks))
-        except BrokenProcessPool as exc:
-            raise WorkerCrashError(
-                f"worker pool collapsed ({exc}); rerun with "
-                f"EngineConfig(supervise=True) for crash containment"
-            ) from exc
-        if on_outcome is not None:
-            for outcome in outcomes:
-                on_outcome(outcome)
         return outcomes
 
 

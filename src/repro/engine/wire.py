@@ -25,7 +25,8 @@ is just another line the coordinator dedupes by attempt id.
 
 Security note: payloads are pickles, so the coordinator port must only
 be exposed to trusted worker hosts (the same trust boundary as the
-existing ``ProcessPoolExecutor`` fan-out; see ``docs/parallel_engine.md``).
+local worker processes, which receive the same pickles; see
+``docs/parallel_engine.md``).
 """
 
 from __future__ import annotations

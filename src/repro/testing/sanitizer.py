@@ -66,23 +66,15 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import repro
+from repro.testing.faults import ENV_FLAG, sanitizer_enabled  # noqa: F401 - re-export
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.callgraph import Program
     from repro.analysis.dataflow import EffectSummary
     from repro.engine.shard_worker import ShardOutcome
 
-#: Environment toggle: ``REPRO_SANITIZE=1`` arms the sanitizer.
-ENV_FLAG = "REPRO_SANITIZE"
-
 #: Serialized event form shipped across the process boundary.
 SerializedEvent = tuple[str, str, tuple[str, ...]]
-
-
-def sanitizer_enabled(env: str | None = None) -> bool:
-    """Is ``REPRO_SANITIZE`` set (and not ``0``/empty)?"""
-    value = os.environ.get(ENV_FLAG, "") if env is None else env
-    return value not in ("", "0")
 
 
 @dataclass(frozen=True, slots=True)

@@ -6,6 +6,7 @@ coordinates byte-identical to an uninterrupted run — and a checkpoint
 can never be spliced into a *different* run (fingerprint mismatch).
 """
 
+import hashlib
 import os
 import pickle
 
@@ -20,7 +21,6 @@ from repro.engine import (
     CheckpointState,
     EngineConfig,
     ResumeMismatchError,
-    ShardRetriesExhaustedError,
     legalize_sharded,
     load_checkpoint,
     partition_design,
@@ -28,6 +28,7 @@ from repro.engine import (
     save_checkpoint,
     shard_seed,
 )
+from repro.engine.checkpoint import CHECKPOINT_MAGIC
 from repro.testing import ShardFaultSpec, design_state_digest
 
 GEN = GeneratorConfig(num_cells=1200, target_density=0.5, seed=4)
@@ -119,8 +120,11 @@ class TestPersistence:
 
     def test_wrong_format_raises(self, tmp_path):
         path = tmp_path / "old.ckpt"
+        body = pickle.dumps({"format": 999, "state": self._state()})
         with open(path, "wb") as handle:
-            pickle.dump({"format": 999, "state": self._state()}, handle)
+            handle.write(CHECKPOINT_MAGIC)
+            handle.write(hashlib.sha256(body).digest())
+            handle.write(body)
         with pytest.raises(CheckpointError, match="unsupported format"):
             load_checkpoint(str(path))
 
@@ -152,14 +156,15 @@ class TestPersistence:
         with pytest.raises(CheckpointError, match="truncated or corrupt"):
             load_checkpoint(path)
 
-    def test_legacy_unframed_checkpoint_still_loads(self, tmp_path):
-        """Pre-checksum snapshots (raw pickle, no magic) keep loading so
-        an in-flight resume survives the format upgrade."""
-        path = tmp_path / "legacy.ckpt"
+    def test_unframed_checkpoint_is_refused(self, tmp_path):
+        """A raw pickle without the sha256 frame (or any foreign file)
+        is refused before unpickling, with an error naming the file."""
+        path = tmp_path / "unframed.ckpt"
         with open(path, "wb") as handle:
             pickle.dump({"format": 1, "state": self._state()}, handle)
-        loaded = load_checkpoint(str(path))
-        assert loaded.fingerprint == "abc"
+        with pytest.raises(CheckpointError, match="no checkpoint header") as excinfo:
+            load_checkpoint(str(path))
+        assert "unframed.ckpt" in str(excinfo.value)
 
 
 # ----------------------------------------------------------------------
@@ -270,19 +275,26 @@ class TestResume:
         assert set(load_checkpoint(path).completed) == {0, 1}
 
     def test_aborted_run_resumes_byte_identical(self, tmp_path, reference):
-        """End-to-end kill/resume: shard 0 fails every rung with
-        serial_fallback off, so the run aborts — but shard 1's outcome
-        is already checkpointed, and the resume finishes the job."""
+        """End-to-end kill/resume: the run is killed right after shard
+        1's outcome is checkpointed (shard 0 keeps failing in the pool
+        meanwhile), and the resume finishes the job."""
         ref_coords, ref_digest = reference
         path = str(tmp_path / "run.ckpt")
 
+        class Killed(Exception):
+            pass
+
+        def kill_after_shard_1(state):
+            if 1 in state.completed:
+                raise Killed
+
         design = fresh_design()
-        with pytest.raises(ShardRetriesExhaustedError):
+        with pytest.raises(Killed):
             legalize_sharded(
-                design, CFG,
-                EngineConfig(**ENG, max_shard_retries=0,
-                             serial_fallback=False),
-                checkpoint=CheckpointManager(path),
+                design, CFG, EngineConfig(**ENG),
+                checkpoint=CheckpointManager(
+                    path, on_record=kill_after_shard_1
+                ),
                 fault=ShardFaultSpec(shard_id=0, mode="raise", attempts=99),
             )
         state = load_checkpoint(path)

@@ -126,3 +126,39 @@ class TestAccounting:
         summary = telemetry.summary()
         assert summary.calls == engine_result.result.mll_calls
         assert summary.successes == engine_result.result.mll_successes
+
+
+class TestShardWorkerImports:
+    def test_run_shard_leaves_sanitizer_unloaded(self):
+        """With ``REPRO_SANITIZE`` unset, a shard attempt must not pay
+        for importing the sanitizer just to read the flag."""
+        import os
+        import subprocess
+        import sys
+        import textwrap
+
+        import repro
+
+        script = textwrap.dedent("""
+            import sys
+            from repro.core import LegalizerConfig
+            from repro.db.library import Rail
+            from repro.engine import ShardCellSpec, ShardTask, run_shard
+
+            task = ShardTask(
+                shard_id=0, seed=1, config=LegalizerConfig(rx=4, ry=1),
+                num_rows=2, row_width=20, site_width_um=1.0,
+                site_height_um=1.0, first_rail=Rail.VDD, slice_x0=0,
+                slice_x1=20, blockages=(), fences=(), frozen_rects=(),
+                cells=(ShardCellSpec(0, "c0", 3, 1, None, 2.0, 0.0),),
+            )
+            assert len(run_shard(task).placements) == 1
+            print("repro.testing.sanitizer" in sys.modules)
+        """)
+        env = {k: v for k, v in os.environ.items() if k != "REPRO_SANITIZE"}
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, check=True, env=env,
+        )
+        assert proc.stdout.strip() == "False"

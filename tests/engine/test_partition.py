@@ -82,11 +82,11 @@ class TestGeometry:
 
     def test_derived_halo_covers_window_and_retries(self, design):
         config = LegalizerConfig(rx=30, ry=5)
-        engine = EngineConfig(shards=2, halo_retry_rounds=3)
+        engine = EngineConfig(shards=2)
         part = partition_design(design, config, engine)
         max_w = max(c.width for c in design.movable_cells())
         assert part.halo_sites == 2 * 30 + max_w + 30 * 3
-        assert part.halo_sites == derive_halo_sites(config, max_w, 3)
+        assert part.halo_sites == derive_halo_sites(config, max_w)
 
 
 class TestDegenerateCases:

@@ -22,7 +22,6 @@ from repro.engine import (
     TcpTransport,
     TransportError,
     WorkerConfig,
-    WorkerUnavailableError,
     legalize_sharded,
     spawn_worker_process,
 )
@@ -377,14 +376,6 @@ class TestFallbackPolicy:
         assert report.remote_workers == 0
         assert report.remote_fallbacks == 2
         assert_identical(design, reference)
-
-    def test_no_worker_strict_raises(self):
-        engine = remote_engine(worker_wait_s=0.3, remote_fallback=False)
-        transport = TcpTransport(engine)
-        with pytest.raises(WorkerUnavailableError, match="no remote worker"):
-            legalize_sharded(
-                fresh_design(), CFG, engine, transport=transport
-            )
 
     def test_drain_request_aborts_with_resume_hint(self):
         engine = remote_engine()

@@ -10,11 +10,7 @@ import pytest
 from repro.bench import GeneratorConfig, generate_design
 from repro.checker import verify_placement
 from repro.core import Legalizer, LegalizerConfig
-from repro.engine import (
-    EngineConfig,
-    ShardRetriesExhaustedError,
-    legalize_sharded,
-)
+from repro.engine import EngineConfig, legalize_sharded
 from repro.testing import ShardFaultSpec, design_state_digest
 
 GEN = GeneratorConfig(num_cells=1200, target_density=0.5, seed=4)
@@ -165,16 +161,6 @@ class TestDegradationLadder:
         assert verify_placement(design) == []
         assert coords(design) == coords(sequential)
 
-    def test_serial_fallback_disabled_raises(self):
-        design = fresh_design()
-        with pytest.raises(ShardRetriesExhaustedError):
-            legalize_sharded(
-                design, CFG,
-                EngineConfig(**ENG, max_shard_retries=0,
-                             serial_fallback=False),
-                fault=ShardFaultSpec(shard_id=0, mode="raise", attempts=99),
-            )
-
     def test_summary_mentions_the_ladder(self):
         design = fresh_design()
         result = legalize_sharded(
@@ -183,18 +169,6 @@ class TestDegradationLadder:
         )
         text = result.supervision.summary()
         assert "crashes=1" in text and "retries=1" in text
-
-
-class TestUnsupervised:
-    def test_bare_pool_still_works_fault_free(self, reference):
-        ref_coords, _ = reference
-        design = fresh_design()
-        result = legalize_sharded(
-            design, CFG, EngineConfig(**ENG, supervise=False)
-        )
-        assert result.parallel
-        assert result.supervision is None
-        assert coords(design) == ref_coords
 
 
 class TestQuarantine:
@@ -326,37 +300,36 @@ class TestBackoffPolicy:
             assert first == again
 
     def test_delay_never_exceeds_cap(self):
-        """Even with maximal jitter, the cap bounds every delay."""
+        """Jitter only ever lengthens a delay, and the cap bounds it."""
         from repro.engine import backoff_delay_s
+        from repro.engine.supervisor import BACKOFF_JITTER
 
-        engine = EngineConfig(
-            backoff_base_s=1.0, backoff_max_s=3.0, backoff_jitter=1.0
-        )
+        engine = EngineConfig(backoff_base_s=1.0, backoff_max_s=3.0)
         for seed in range(25):
             for attempt in range(1, 12):
                 delay = backoff_delay_s(engine, seed, attempt)
-                assert 0.0 <= delay <= 3.0
+                base = min(2.0 ** (attempt - 1), 3.0)
+                assert base <= delay <= min(base * (1 + BACKOFF_JITTER), 3.0)
 
     def test_delays_grow_then_saturate(self):
         from repro.engine import backoff_delay_s
+        from repro.engine.supervisor import BACKOFF_JITTER
 
-        engine = EngineConfig(
-            backoff_base_s=0.5, backoff_max_s=4.0, backoff_jitter=0.0
-        )
+        engine = EngineConfig(backoff_base_s=0.5, backoff_max_s=4.0)
         delays = [
             backoff_delay_s(engine, seed=1, attempt=k) for k in (1, 2, 3, 4, 5)
         ]
-        assert delays == [0.5, 1.0, 2.0, 4.0, 4.0]
+        for delay, base in zip(delays, [0.5, 1.0, 2.0]):
+            assert base <= delay <= base * (1 + BACKOFF_JITTER)
+        assert delays[3:] == [4.0, 4.0]  # saturated at the cap
 
     def test_seeds_decorrelate_retry_storms(self):
         """Shards retried at the same moment must not thunder in
-        lockstep: with jitter on, distinct shard seeds draw distinct
-        delays for the same attempt number."""
+        lockstep: distinct shard seeds draw distinct delays for the
+        same attempt number."""
         from repro.engine import backoff_delay_s
 
-        engine = EngineConfig(
-            backoff_base_s=1.0, backoff_max_s=60.0, backoff_jitter=0.5
-        )
+        engine = EngineConfig(backoff_base_s=1.0, backoff_max_s=60.0)
         delays = {backoff_delay_s(engine, seed, attempt=2) for seed in range(8)}
         assert len(delays) > 1
 

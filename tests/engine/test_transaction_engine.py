@@ -5,8 +5,8 @@ site must leave ``Design.snapshot_positions()`` and all segment cell
 orderings byte-identical to the pre-call state *on a ``--workers 2``
 engine run* as well as the serial driver.  Shard workers mutate
 subprocess copies only, so every master-design mutation of an engine
-run happens inside :func:`repro.engine.reconcile.reconcile` — which is
-transactional by default, making the whole merge atomic.
+run happens inside :func:`repro.engine.reconcile.reconcile` — which
+runs in one transaction, making the whole merge atomic.
 """
 
 import random
@@ -156,16 +156,6 @@ class TestReconcileRollback:
             reconcile(d, outs, config=cfg)
         assert design_state(d) == before
         assert not a.is_placed and not b.is_placed
-
-    def test_non_transactional_keeps_committed_prefix(self):
-        """``transactional=False`` documents the old behavior: the
-        applied deltas survive a failed seam pass."""
-        d, a, b, outs = self.build_jammed()
-        cfg = LegalizerConfig(rx=4, ry=0, max_rounds=3, seed=0)
-        with pytest.raises(LegalizationError):
-            reconcile(d, outs, config=cfg, transactional=False)
-        assert a.is_placed and (a.x, a.y) == (8, 0)
-        assert not b.is_placed
 
     def test_successful_reconcile_detaches_journal(self):
         d = make_design(num_rows=2, row_width=20)

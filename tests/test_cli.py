@@ -104,6 +104,47 @@ class TestStartup:
         assert "--exact" in out
         assert "--kernel" not in out
 
+    def test_legalize_help_has_no_supervise_switch(self, capsys):
+        # Every workers > 1 run is supervised.
+        with pytest.raises(SystemExit):
+            main(["legalize", "--help"])
+        out = capsys.readouterr().out
+        assert "--shard-retries" in out
+        assert "--no-supervise" not in out
+
+
+class TestOptionValidation:
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--rx", "0"], "rx must be >= 1"),
+            (["--workers", "2", "--shard-retries", "-1"],
+             "max_shard_retries must be >= 0"),
+            (["--workers", "2", "--heartbeat-interval", "40"],
+             "heartbeat_interval_s must be smaller than lease_ttl_s"),
+            (["--checkpoint", "run.ckpt", "--checkpoint-every", "0"],
+             "checkpoint cadence must be >= 1"),
+        ],
+        ids=["rx", "shard-retries", "heartbeat-interval", "checkpoint-every"],
+    )
+    def test_bad_value_is_a_usage_error(self, tmp_path, capsys, flags, message):
+        """A bad option value exits 2 with argparse's error line — before
+        the design is read, so a missing file does not mask it."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["legalize", str(tmp_path / "missing.aux"), *flags])
+        assert excinfo.value.code == 2
+        assert f"repro legalize: error: {message}" in capsys.readouterr().err
+
+
+class TestLint:
+    def test_github_format_is_forwarded(self, capsys):
+        # `repro lint` hands its argument tail to repro.analysis.runner,
+        # so every documented option (here --format github) is accepted.
+        geometry = os.path.join(os.path.dirname(repro.__file__), "geometry")
+        rc = main(["lint", "--no-cache", "--format", "github", geometry])
+        assert rc == 0
+        assert "::notice title=repro-lint::clean" in capsys.readouterr().out
+
 
 class TestLegalizeFailureReporting:
     def test_partial_result_reported_on_failure(self, tmp_path, capsys):
@@ -186,13 +227,6 @@ class TestFaultToleranceFlags:
         )
         assert rc == 0
         assert "violations 0" in capsys.readouterr().out
-
-    def test_no_supervise_bare_pool(self, generated, capsys):
-        rc = main(["legalize", str(generated), *self.PAR, "--no-supervise"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "engine: transport=local shards=2 workers=2" in out
-        assert "violations 0" in out
 
     def test_quarantine_flag_reports_empty(self, generated, capsys):
         rc = main(["legalize", str(generated), "--quarantine"])
