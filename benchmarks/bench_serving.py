@@ -53,6 +53,7 @@ from repro.bench import (
 from repro.checker import verify_placement
 from repro.core import LegalizerConfig
 from repro.serve import Client, DesignSession, ServeConfig, ServerHandle
+from repro.testing import design_state_digest
 
 from benchmarks.trajectory import percentiles, record_run
 
@@ -164,7 +165,9 @@ def _replay_session(
     violations = verify_placement(
         session.design, require_all_placed=False
     )
-    return session.digest(), len(violations)
+    # From scratch, not through the session's memo: the live server's
+    # memoized digests are checked against the reference rendering.
+    return design_state_digest(session.design), len(violations)
 
 
 def run_load(

@@ -262,7 +262,7 @@ def _read_scl(path: str) -> Floorplan:
 def _read_nodes(design: Design, path: str) -> None:
     declared: int | None = None
     with open(path) as f:
-        for raw in f:
+        for lineno, raw in enumerate(f, 1):
             line = raw.strip()
             if line.startswith("NumNodes"):
                 declared = _declared_count(path, line)
@@ -275,7 +275,13 @@ def _read_nodes(design: Design, path: str) -> None:
             ):
                 continue
             parts = line.split()
-            name, w, h = parts[0], int(float(parts[1])), int(float(parts[2]))
+            try:
+                name, w, h = parts[0], int(float(parts[1])), int(float(parts[2]))
+            except (IndexError, ValueError):
+                raise ValueError(
+                    f"{path}:{lineno}: node record {line!r} needs a name, "
+                    f"a numeric width and a numeric height"
+                ) from None
             fixed = "terminal" in parts[3:]
             rail: Rail | None = None
             region: int | None = None
@@ -298,21 +304,27 @@ def _read_pl(design: Design, path: str) -> None:
     # half-placed design.
     with Transaction(design):
         with open(path) as f:
-            for raw in f:
+            for lineno, raw in enumerate(f, 1):
                 line = raw.strip()
                 if not line or line.startswith(("#", "UCLA")):
                     continue
                 body, _, comment = line.partition("#")
                 parts = body.split()
-                if len(parts) < 3 or parts[0] not in by_name:
+                if not parts or parts[0] not in by_name:
                     continue
                 cell = by_name[parts[0]]
-                x, y = float(parts[1]), float(parts[2])
                 ctoks = comment.split()
-                if len(ctoks) >= 3 and ctoks[0] == "gp":
-                    cell.gp_x, cell.gp_y = float(ctoks[1]), float(ctoks[2])
-                else:
-                    cell.gp_x, cell.gp_y = x, y
+                try:
+                    x, y = float(parts[1]), float(parts[2])
+                    if len(ctoks) >= 3 and ctoks[0] == "gp":
+                        cell.gp_x, cell.gp_y = float(ctoks[1]), float(ctoks[2])
+                    else:
+                        cell.gp_x, cell.gp_y = x, y
+                except (IndexError, ValueError):
+                    raise ValueError(
+                        f"{path}:{lineno}: record {line!r} of cell "
+                        f"{cell.name!r} needs numeric coordinates"
+                    ) from None
                 if "unplaced" in ctoks:
                     continue
                 if x == int(x) and y == int(y):

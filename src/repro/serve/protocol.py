@@ -40,6 +40,11 @@ from repro.serve.errors import ProtocolError
 #: Bump on any incompatible change to the message shapes.
 PROTOCOL_VERSION = 1
 
+#: Longest request line the server reads, newline included (asyncio's
+#: default stream limit); a longer one is answered with ``protocol``
+#: and dropped.
+MAX_LINE_BYTES = 2**16
+
 #: Operations a request may name (validated at decode time so a typo'd
 #: op fails fast with ``protocol`` rather than deep in dispatch).
 KNOWN_OPS: tuple[str, ...] = (

@@ -94,7 +94,10 @@ class LegalizationServer:
         """Bind the listening socket (port 0 = ephemeral, see .port)."""
         self.loop = asyncio.get_running_loop()
         self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port
+            self._handle_connection,
+            self.config.host,
+            self.config.port,
+            limit=protocol.MAX_LINE_BYTES,
         )
         sockets = self._server.sockets
         if sockets:
@@ -143,7 +146,14 @@ class LegalizationServer:
         writer_task = asyncio.create_task(self._write_loop(writer, out))
         try:
             while True:
-                line = await reader.readline()
+                line = await _read_line(reader)
+                if line is None:
+                    too_long = ProtocolError(
+                        f"request line exceeds the "
+                        f"{protocol.MAX_LINE_BYTES}-byte limit; dropped"
+                    )
+                    out.put_nowait(_error_bytes("?", too_long))
+                    continue
                 if not line:
                     break
                 if not line.strip():
@@ -388,6 +398,29 @@ def _error_bytes(rid: str, exc: BaseException) -> bytes:
     return protocol.encode(
         Response(id=rid, ok=False, error_code=code, error_message=message)
     )
+
+
+async def _read_line(reader: asyncio.StreamReader) -> bytes | None:
+    """The next line, ``b""`` at end of stream, or ``None`` for a line
+    longer than the reader's limit, which is read up to its newline and
+    dropped in limit-sized pieces, never buffered whole."""
+    try:
+        return await reader.readuntil(b"\n")
+    except asyncio.IncompleteReadError as exc:
+        return exc.partial
+    except asyncio.LimitOverrunError as exc:
+        consumed = exc.consumed
+    while True:
+        # The overrun bytes are buffered already: drop them, then look
+        # for the newline again in what follows.
+        await reader.readexactly(consumed)
+        try:
+            await reader.readuntil(b"\n")
+            return None
+        except asyncio.IncompleteReadError:
+            return None
+        except asyncio.LimitOverrunError as exc:
+            consumed = exc.consumed
 
 
 def _best_effort_id(line: bytes) -> str:

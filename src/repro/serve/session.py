@@ -49,7 +49,11 @@ from repro.serve.protocol import (
     param_opt_int,
     param_str,
 )
-from repro.testing.faults import FaultInjector, design_state_digest
+from repro.testing.faults import (
+    DigestMemo,
+    FaultInjector,
+    design_state_digest,
+)
 
 #: Signature of the progress sink handed to long-running requests.
 ProgressFn = Callable[[dict[str, object]], None]
@@ -113,6 +117,7 @@ class DesignSession:
         self.quarantine_reason: str | None = None
         self._cell_index: dict[str, Cell] = {}
         self._cell_index_len = -1
+        self._memo = DigestMemo()
 
     # ------------------------------------------------------------------
     # Construction helpers (run in a worker thread by the manager)
@@ -193,8 +198,12 @@ class DesignSession:
         )
 
     def digest(self) -> str:
-        """SHA-256 over the complete placement state (PR-2 harness)."""
-        return design_state_digest(self.design)
+        """SHA-256 over the complete placement state (``design_state``).
+
+        Rendered through the session's memo, so a request pays for the
+        cells and segments it changed, not for the whole design.
+        """
+        return design_state_digest(self.design, self._memo)
 
     def stats(self) -> dict[str, object]:
         design = self.design
@@ -273,9 +282,10 @@ class DesignSession:
         A digest mismatch after rollback means the journal failed to
         restore the design — that is corruption, not a transient fault,
         and the session is quarantined immediately so no further
-        request builds on a broken placement.
+        request builds on a broken placement.  The check renders the
+        design from scratch, so it does not rest on the memo.
         """
-        after = self.digest()
+        after = design_state_digest(self.design)
         if after != before:
             self.quarantined = True
             self.quarantine_reason = (

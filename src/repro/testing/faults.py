@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import multiprocessing
+import operator
 import os
 import time
 from dataclasses import dataclass, field
@@ -261,9 +262,124 @@ def design_state(design: Design) -> tuple:
     return (cells, segments, design._next_cell_id)
 
 
-def design_state_digest(design: Design) -> str:
-    """SHA-256 hex digest of :func:`design_state` — "byte-identical"."""
-    return hashlib.sha256(repr(design_state(design)).encode()).hexdigest()
+def design_state_digest(design: Design, memo: DigestMemo | None = None) -> str:
+    """SHA-256 hex digest of :func:`design_state` — "byte-identical".
+
+    With a *memo* the digest is the same, but a cell's or a segment's
+    text from the memo's previous call is reused when every value it
+    renders is the *identical* object seen then, so only what changed
+    since that call is rendered again.
+    """
+    if memo is None:
+        return hashlib.sha256(repr(design_state(design)).encode()).hexdigest()
+    return memo.digest_of(design)
+
+
+#: Stands for "not seen by the memo": identical to no field value.
+_UNSEEN = object()
+_UNSEEN_CELL = (_UNSEEN,) * 9
+_UNSEEN_SEGMENT = (_UNSEEN, (), "")
+_cell_id = operator.attrgetter("id")
+_is = operator.is_
+
+
+class DigestMemo:
+    """What the last memoized :func:`design_state_digest` call rendered.
+
+    One entry per cell of ``design.cells`` and per segment of
+    ``floorplan.segments``, by position, each holding the objects its
+    :func:`design_state` tuple is made of and that tuple's ``repr``.  An
+    entry is reused only while every one of those objects is the
+    identical one (``is``, never ``==``: ``True == 1`` and
+    ``166 == 166.0`` are equal but render differently); the memo keeps
+    them alive, so no new object can take the identity of an old one.
+    The entry lists are rebuilt on every call, so a cell that is gone (a
+    rolled-back buffer) drops out, and when nothing changed at all the
+    previous digest is returned as is.
+    """
+
+    __slots__ = ("cell_entries", "segment_entries", "next_id", "digest")
+
+    def __init__(self) -> None:
+        self.cell_entries: list[tuple] = []
+        self.segment_entries: list[tuple] = []
+        self.next_id: object = _UNSEEN
+        self.digest = ""
+
+    def digest_of(self, design: Design) -> str:
+        """:func:`design_state_digest` of *design*, re-rendering only the
+        cells and segments that changed since the previous call."""
+        cells = design.cells
+        segments = design.floorplan.segments
+        next_id = design._next_cell_id
+        changed = (
+            next_id is not self.next_id
+            or len(cells) != len(self.cell_entries)
+            or len(segments) != len(self.segment_entries)
+        )
+
+        cell_entries = []
+        previous = _padded(self.cell_entries, len(cells), _UNSEEN_CELL)
+        for cell, entry in zip(cells, previous):
+            i, n, w, h, x, y, f, r, _ = entry
+            # Cell.width and Cell.height are its master's fields.
+            master = cell.master
+            if (
+                cell.x is not x
+                or cell.y is not y
+                or master.width is not w
+                or master.height is not h
+                or cell.id is not i
+                or cell.name is not n
+                or cell.fixed is not f
+                or cell.region is not r
+            ):
+                key = (
+                    cell.id, cell.name, master.width, master.height,
+                    cell.x, cell.y, cell.fixed, cell.region,
+                )
+                entry = (*key, repr(key))
+                changed = True
+            cell_entries.append(entry)
+
+        segment_entries = []
+        previous = _padded(self.segment_entries, len(segments), _UNSEEN_SEGMENT)
+        for seg, entry in zip(segments, previous):
+            seg_id, members = seg.id, seg.cells
+            previous_id, previous_ids, _ = entry
+            if (
+                seg_id is not previous_id
+                or len(members) != len(previous_ids)
+                or not all(map(_is, map(_cell_id, members), previous_ids))
+            ):
+                ids = tuple(map(_cell_id, members))
+                entry = (seg_id, ids, repr((seg_id, ids)))
+                changed = True
+            segment_entries.append(entry)
+
+        if not changed:
+            return self.digest
+        self.cell_entries = cell_entries
+        self.segment_entries = segment_entries
+        self.next_id = next_id
+        text = (
+            f"({_tuple_repr([e[-1] for e in cell_entries])}, "
+            f"{_tuple_repr([e[-1] for e in segment_entries])}, {next_id!r})"
+        )
+        self.digest = hashlib.sha256(text.encode()).hexdigest()
+        return self.digest
+
+
+def _padded(entries: list, count: int, unseen: tuple) -> list:
+    """*entries*, followed by *unseen* up to *count* items if short."""
+    return entries + [unseen] * (count - len(entries))
+
+
+def _tuple_repr(items: list[str]) -> str:
+    """``repr`` of a tuple whose elements' ``repr`` are *items*."""
+    if len(items) == 1:
+        return f"({items[0]},)"
+    return f"({', '.join(items)})"
 
 
 # ----------------------------------------------------------------------

@@ -160,3 +160,56 @@ class TestDeclaredCounts:
             "but 5 were read",
         ):
             read_bookshelf(bundle)
+
+
+class TestDamagedRecords:
+    """A damaged record raises a ``ValueError`` naming its file and line."""
+
+    @pytest.fixture
+    def bundle(self, tmp_path):
+        design = generate_design(GeneratorConfig(num_cells=40, seed=3, name="cut"))
+        legalize(design, LegalizerConfig(seed=3))
+        return write_bookshelf(design, str(tmp_path))
+
+    @staticmethod
+    def _damage(aux, ext, cell, edit):
+        """Replace the record of *cell* in ``.ext`` by ``edit(tokens)``;
+        returns its 1-based line number."""
+        path = aux[: -len("aux")] + ext
+        with open(path) as f:
+            lines = f.readlines()
+        index = next(
+            i for i, line in enumerate(lines) if line.split()[:1] == [cell]
+        )
+        lines[index] = "  " + " ".join(edit(lines[index].split())) + "\n"
+        with open(path, "w") as f:
+            f.writelines(lines)
+        return index + 1
+
+    def test_nodes_record_cut_to_two_tokens(self, bundle):
+        lineno = self._damage(bundle, "nodes", "c12", lambda t: t[:2])
+        with pytest.raises(
+            ValueError, match=rf"cut\.nodes:{lineno}: node record 'c12 5' needs"
+        ):
+            read_bookshelf(bundle)
+
+    def test_nodes_width_not_a_number(self, bundle):
+        lineno = self._damage(bundle, "nodes", "c12", lambda t: [t[0], "5x", *t[2:]])
+        with pytest.raises(
+            ValueError, match=rf"cut\.nodes:{lineno}: node record 'c12 5x 1' needs"
+        ):
+            read_bookshelf(bundle)
+
+    def test_pl_coordinate_not_a_number(self, bundle):
+        lineno = self._damage(bundle, "pl", "c12", lambda t: [t[0], t[1], "2y", *t[3:]])
+        with pytest.raises(
+            ValueError, match=rf"cut\.pl:{lineno}: record 'c12 12 2y .*' of cell 'c12'"
+        ):
+            read_bookshelf(bundle)
+
+    def test_pl_record_of_known_cell_cut_short(self, bundle):
+        lineno = self._damage(bundle, "pl", "c12", lambda t: t[:2])
+        with pytest.raises(
+            ValueError, match=rf"cut\.pl:{lineno}: record 'c12 12' of cell 'c12'"
+        ):
+            read_bookshelf(bundle)

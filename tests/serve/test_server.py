@@ -9,7 +9,11 @@ The two acceptance-critical properties live here:
   and a quarantined session never takes its neighbors down.
 """
 
+import json
+import logging
+import socket
 import threading
+import time
 
 import pytest
 
@@ -106,6 +110,34 @@ class TestBasics:
             stages = [e.data.get("stage") for e in client.events(rid)]
             assert "started" in stages
             assert "audited" in stages
+
+
+class TestOversizedLine:
+    @pytest.mark.parametrize("pause", [False, True])
+    def test_protocol_error_then_connection_keeps_reading(
+        self, server, caplog, pause
+    ):
+        """A line past the stream limit is answered and dropped; the
+        next request on the same socket is served.  With ``pause`` the
+        newline arrives after the limit was already exceeded."""
+        big = json.dumps({"id": "big", "op": "ping", "pad": "x" * 100_000})
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            with socket.create_connection(
+                ("127.0.0.1", server.port), timeout=30
+            ) as sock:
+                sock.sendall(big.encode())
+                if pause:
+                    time.sleep(0.3)
+                sock.sendall(b'\n{"id": "p", "op": "ping"}\n')
+                with sock.makefile("rb") as lines:
+                    first = json.loads(lines.readline())
+                    second = json.loads(lines.readline())
+        assert first["ok"] is False
+        assert first["error"]["code"] == "protocol"
+        assert "65536-byte" in first["error"]["message"]
+        assert second["id"] == "p"
+        assert second["ok"] is True
+        assert [r.getMessage() for r in caplog.records] == []
 
 
 class TestConcurrentIsolation:

@@ -6,7 +6,7 @@ from repro.bench import GeneratorConfig, generate_design
 from repro.core import LegalizerConfig
 from repro.serve import DesignSession, EcoError, SessionQuarantinedError
 from repro.serve.errors import ProtocolError
-from repro.testing.faults import InjectedFault
+from repro.testing.faults import InjectedFault, design_state_digest
 
 
 def make_session(
@@ -282,3 +282,39 @@ class TestFaultDomain:
         # Salvage paths stay open.
         assert session.execute("digest", {})["digest"] == session.digest()
         assert session.execute("stats", {})["seq"] == session.seq
+
+    def test_rollback_hole_quarantines_on_first_fault(self, monkeypatch):
+        """A journal that fails to undo an unplace leaves the digest
+        changed after rollback: corruption, quarantined at once."""
+        from repro.db.journal import Journal, Op
+
+        session = legalized_session(allow_fault_injection=True)
+        undo = Journal._undo_entry
+
+        def undo_all_but_unplace(journal, entry):
+            if entry.op is not Op.UNPLACE:
+                undo(journal, entry)
+
+        monkeypatch.setattr(Journal, "_undo_entry", undo_all_but_unplace)
+        cell = next(c for c in session.design.cells if not c.fixed)
+        with pytest.raises(InjectedFault):
+            session.execute(
+                "eco",
+                {
+                    "kind": "move",
+                    "cell": cell.name,
+                    "x": cell.x + 2.0,
+                    "y": float(cell.y),
+                    "fault_at": 2,
+                },
+            )
+        assert session.quarantined
+        assert session.consecutive_faults == 0
+        assert (session.quarantine_reason or "").startswith(
+            "rollback failed to restore state"
+        )
+        assert not cell.is_placed
+        # Salvage paths still answer, with the design as it now is.
+        digest = session.execute("digest", {})["digest"]
+        assert digest == design_state_digest(session.design)
+        assert session.execute("stats", {})["digest"] == digest
