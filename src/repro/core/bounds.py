@@ -53,14 +53,20 @@ def compute_bounds(region: LocalRegion) -> PlacementBounds:
             )
 
     cells = sorted(region.cells, key=lambda c: (c.x, c.id))  # type: ignore[arg-type,return-value]
+    # Every row of every cell: the local segment and the cell's index in it.
+    slots = {
+        cell.id: [
+            (row, region.segments[row], region.cell_index(row, cell))
+            for row in cell.rows_spanned()
+        ]
+        for cell in cells
+    }
 
     left: dict[int, int] = {}
     for cell in cells:
         assert cell.x is not None
         x = None
-        for row in cell.rows_spanned():
-            seg = region.segments[row]
-            idx = region.cell_index(row, cell)
+        for row, seg, idx in slots[cell.id]:
             if idx == 0:
                 floor = seg.x0
             else:
@@ -71,7 +77,8 @@ def compute_bounds(region: LocalRegion) -> PlacementBounds:
                         f"order in row {row}; region placement is not legal"
                     )
                 floor = left[pred.id] + pred.width
-            x = floor if x is None else max(x, floor)
+            if x is None or floor > x:
+                x = floor
         assert x is not None
         if x > cell.x:
             raise ValueError(
@@ -84,9 +91,7 @@ def compute_bounds(region: LocalRegion) -> PlacementBounds:
     for cell in reversed(cells):
         assert cell.x is not None
         x = None
-        for row in cell.rows_spanned():
-            seg = region.segments[row]
-            idx = region.cell_index(row, cell)
+        for row, seg, idx in slots[cell.id]:
             if idx == len(seg.cells) - 1:
                 ceil = seg.x1 - cell.width
             else:
@@ -97,7 +102,8 @@ def compute_bounds(region: LocalRegion) -> PlacementBounds:
                         f"order in row {row}; region placement is not legal"
                     )
                 ceil = right[nxt.id] - cell.width
-            x = ceil if x is None else min(x, ceil)
+            if x is None or ceil < x:
+                x = ceil
         assert x is not None
         if x < cell.x:
             raise ValueError(

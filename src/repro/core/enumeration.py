@@ -19,15 +19,17 @@ Two enumerators are provided:
   (The clearing is applied for *discarded* negative-length gaps too;
   their left-cell blockage is real even when the gap itself cannot host
   the target.)  Each valid insertion point is emitted exactly once, when
-  its last interval opens.
+  its last interval opens; combinations are built row by row and keep
+  Figure 8 by comparing two precomputed integers per pair of adjacent
+  rows (:func:`_shared_ranks`).
 * :func:`enumerate_insertion_points_bruteforce` — a direct product over
-  per-row interval lists with explicit filtering; used as the test oracle
-  for the scanline.
+  per-row interval lists with explicit filtering, cell by cell
+  (:func:`_combo_is_valid`); used as the test oracle for the scanline.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left
 from itertools import product
 from typing import Callable, Iterable
 
@@ -39,17 +41,31 @@ RowPredicate = Callable[[int], bool]
 alignment and any extra constraints of the caller)."""
 
 
-@dataclass(frozen=True, slots=True)
 class InsertionPoint:
     """A valid combination of gaps for the target cell.
 
     ``intervals`` is ordered bottom row first; ``x_lo``/``x_hi`` is the
-    common cutline range (intersection of the member intervals).
+    common cutline range (intersection of the member intervals).  A
+    plain slotted record like
+    :class:`~repro.core.intervals.InsertionInterval`: treat it as
+    immutable; equality is by field values, and it is unhashable.
     """
 
-    intervals: tuple[InsertionInterval, ...]
-    x_lo: int
-    x_hi: int
+    __slots__ = ("intervals", "x_lo", "x_hi")
+
+    def __init__(
+        self, intervals: tuple[InsertionInterval, ...], x_lo: int, x_hi: int
+    ) -> None:
+        self.intervals = intervals
+        self.x_lo = x_lo
+        self.x_hi = x_hi
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, InsertionPoint):
+            return NotImplemented
+        return (self.intervals, self.x_lo, self.x_hi) == (
+            other.intervals, other.x_lo, other.x_hi
+        )
 
     @property
     def bottom_row(self) -> int:
@@ -151,13 +167,21 @@ def enumerate_insertion_points(
         # emits its own interval and the Figure-8 check is vacuous.  The
         # emission order is the stable x_lo order of the OPEN events.
         return [
-            InsertionPoint(intervals=(iv,), x_lo=iv.x_lo, x_hi=iv.x_hi)
+            InsertionPoint((iv,), iv.x_lo, iv.x_hi)
             for iv in sorted(feasible, key=lambda iv: iv.x_lo)
             if row_ok is None or row_ok(iv.row_index)
         ]
     rows = region.rows()
     rows_present = set(rows)
-    multirow = _multirow_indices(region)
+    # Bottom rows the target may start on.
+    bottoms = {
+        bottom
+        for bottom in rows
+        if all(r in rows_present for r in _window_rows(bottom, ht))
+        and (row_ok is None or row_ok(bottom))
+    }
+    up, down = _shared_ranks(region, feasible)
+    x_hi = [iv.x_hi for iv in feasible]
 
     # Queue keys (a, s): a = row of the interval being processed, s = row
     # of the stored partner intervals.  partners[s] lists every queue
@@ -195,7 +219,7 @@ def enumerate_insertion_points(
                 if q is not None:
                     q.clear()
         elif kind == OPEN:
-            _generate_for(i, feasible, ht, rows_present, queues, multirow, row_ok, points)
+            _generate_for(i, feasible, x_hi, ht, bottoms, queues, up, down, points)
             for q in partners[a]:
                 q.append(i)
         else:  # CLOSE
@@ -207,45 +231,77 @@ def enumerate_insertion_points(
     return points
 
 
+def _shared_ranks(
+    region: LocalRegion, feasible: list[InsertionInterval]
+) -> tuple[list[int], list[int]]:
+    """Figure 8 as two integers per feasible interval.
+
+    ``up[j]`` counts the local cells spanning interval *j*'s row and the
+    row above that lie left of its gap; ``down[j]`` does the same for
+    the row below.  The cells two adjacent rows share keep one x order
+    in both rows, so intervals of rows ``r`` and ``r + 1`` lie on the
+    same side of every shared cell iff ``up`` of the lower one equals
+    ``down`` of the upper one — the check :func:`_combo_is_valid` makes
+    cell by cell, since a multi-row cell spans consecutive rows.
+    """
+    above: dict[int, list[int]] = {}
+    below: dict[int, list[int]] = {}
+    for row, seg in region.segments.items():
+        above[row] = []
+        below[row] = []
+        for k, c in enumerate(seg.cells):
+            y = c.y
+            assert y is not None
+            if y < row:
+                below[row].append(k)
+            if y + c.height > row + 1:
+                above[row].append(k)
+    up = [bisect_left(above[iv.row_index], iv.gap_index) for iv in feasible]
+    down = [bisect_left(below[iv.row_index], iv.gap_index) for iv in feasible]
+    return up, down
+
+
 def _generate_for(
     i: int,
     feasible: list[InsertionInterval],
+    x_hi: list[int],
     ht: int,
-    rows_present: set[int],
+    bottoms: set[int],
     queues: dict[tuple[int, int], list[int]],
-    multirow: dict[int, list[tuple[int, int]]],
-    row_ok: RowPredicate | None,
+    up: list[int],
+    down: list[int],
     points: list[InsertionPoint],
 ) -> None:
     """Emit every insertion point whose last-opened interval is
     ``iv = feasible[i]``.
 
     Implements equation (2) of the paper: the union over all ``h_t``-row
-    windows containing ``iv``'s row of the product of the partner queues.
+    windows containing ``iv``'s row of the product of the partner queues,
+    built row by row in product order and pruned to chains whose
+    adjacent members pass the Figure-8 rank test.  Every partner opened
+    before ``iv`` and has not closed, so the common range starts at
+    ``iv.x_lo`` and is nonempty.
     """
     iv = feasible[i]
     a = iv.row_index
     for bottom in range(a - ht + 1, a + 1):
-        window = _window_rows(bottom, ht)
-        if any(r not in rows_present for r in window):
+        if bottom not in bottoms:
             continue
-        if row_ok is not None and not row_ok(bottom):
-            continue
-        partner_lists = [queues[(a, s)] for s in window if s != a]
-        if any(not lst for lst in partner_lists):
-            continue
-        # Partner lists are already in ascending row order (window order
-        # minus row a); splice iv in at its row position instead of
-        # sorting every combination.
-        iv_slot = a - bottom
-        for parts in product(*partner_lists):
-            combo = [feasible[j] for j in parts]
-            combo.insert(iv_slot, iv)
-            if not _combo_is_valid(combo, multirow):
-                continue
-            lo = max(c.x_lo for c in combo)
-            hi = min(c.x_hi for c in combo)
-            # Members are all active at iv.x_lo, so the range is nonempty.
+        chains: list[tuple[int, ...]] = (
+            [(i,)] if a == bottom else [(j,) for j in queues[(a, bottom)]]
+        )
+        for s in range(bottom + 1, bottom + ht):
+            if not chains:
+                break
+            members = [i] if s == a else queues[(a, s)]
+            chains = [
+                (*c, j) for c in chains for j in members if up[c[-1]] == down[j]
+            ]
+        for c in chains:
             points.append(
-                InsertionPoint(intervals=tuple(combo), x_lo=lo, x_hi=hi)
+                InsertionPoint(
+                    tuple(map(feasible.__getitem__, c)),
+                    iv.x_lo,
+                    min(map(x_hi.__getitem__, c)),
+                )
             )

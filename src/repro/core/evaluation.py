@@ -35,8 +35,8 @@ one broadcast every candidate cost.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from operator import attrgetter
+from typing import Iterator, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -47,26 +47,97 @@ from repro.core.local_region import LocalRegion
 from repro.db.cell import Cell
 
 _INF = math.inf
+_X_LO = attrgetter("x_lo")
+_X_HI = attrgetter("x_hi")
+_BOTTOM_ROW = attrgetter("bottom_row")
 
 FloatArray = NDArray[np.float64]
 
 
-@dataclass(frozen=True, slots=True)
 class EvaluatedPoint:
     """An insertion point with its chosen target x and estimated cost.
 
     ``cost`` is in *micron* units so that horizontal (site width) and
-    vertical (row height) displacement combine consistently.
+    vertical (row height) displacement combine consistently.  A plain
+    slotted record like :class:`~repro.core.enumeration.InsertionPoint`:
+    treat it as immutable; equality is by field values, and it is unhashable.
     """
 
-    point: InsertionPoint
-    target_x: int
-    cost: float
+    __slots__ = ("point", "target_x", "cost")
+
+    def __init__(self, point: InsertionPoint, target_x: int, cost: float) -> None:
+        self.point = point
+        self.target_x = target_x
+        self.cost = cost
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, EvaluatedPoint):
+            return NotImplemented
+        return (self.point, self.target_x, self.cost) == (
+            other.point, other.target_x, other.cost
+        )
 
     @property
     def bottom_row(self) -> int:
         """Row of the target's lower edge."""
         return self.point.bottom_row
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"EvaluatedPoint(point={self.point!r}, "
+            f"target_x={self.target_x}, cost={self.cost!r})"
+        )
+
+
+class Evaluation:
+    """Every insertion point of one MLL call, scored, column by column.
+
+    ``target_x[i]`` (integer-valued) and ``cost[i]`` (microns) belong to
+    ``points[i]``.  Indexing and iteration yield :class:`EvaluatedPoint`
+    records, built on demand, so a caller that wants only the winner
+    (:meth:`first_min`) builds one record, not one per point.
+    """
+
+    __slots__ = ("points", "target_x", "cost")
+
+    def __init__(
+        self, points: Sequence[InsertionPoint], target_x: FloatArray, cost: FloatArray
+    ) -> None:
+        self.points = points
+        self.target_x = target_x
+        self.cost = cost
+
+    def __len__(self) -> int:
+        return len(self.points)
+
+    def __getitem__(self, i: int) -> EvaluatedPoint:
+        return EvaluatedPoint(
+            self.points[i], int(self.target_x[i]), float(self.cost[i])
+        )
+
+    def __iter__(self) -> Iterator[EvaluatedPoint]:
+        return map(
+            EvaluatedPoint,
+            self.points,
+            map(int, self.target_x.tolist()),
+            self.cost.tolist(),
+        )
+
+    def bottom_rows(self) -> FloatArray:
+        """The bottom row of every point."""
+        return np.fromiter(
+            map(_BOTTOM_ROW, self.points), dtype=np.float64, count=len(self)
+        )
+
+    def first_min(self, allowed: NDArray[np.bool_] | None = None) -> int | None:
+        """Index of the first minimum-cost point among the *allowed* ones
+        (every point when ``None``); ``None`` when there is none."""
+        if allowed is None:
+            return int(np.argmin(self.cost)) if len(self) else None
+        indices = np.flatnonzero(allowed)
+        if not indices.size:
+            return None
+        return int(indices[np.argmin(self.cost[indices])])
 
 
 def _critical_positions_exact(
@@ -195,20 +266,13 @@ def _neighbour_pairs(
     nslots = max(len(p.intervals) for p in points)
     lo: list[float] = []
     hi: list[float] = []
+    lo_append, hi_append = lo.append, hi.append
     for p in points:
         ivs = p.intervals
         for iv in ivs:
             left, right = iv.left, iv.right
-            if left is None:
-                lo.append(-_INF)
-            else:
-                assert left.x is not None
-                lo.append(left.x + left.width)
-            if right is None:
-                hi.append(_INF)
-            else:
-                assert right.x is not None
-                hi.append(right.x - target_width)
+            lo_append(-_INF if left is None else left.x + left.width)  # type: ignore[operator]
+            hi_append(_INF if right is None else right.x - target_width)  # type: ignore[operator]
         pad = nslots - len(ivs)
         if pad:
             lo.extend([-_INF] * pad)
@@ -245,7 +309,7 @@ def evaluate_insertion_point(
     site_width_um: float,
     site_height_um: float,
     mode: EvaluationMode = EvaluationMode.APPROX,
-) -> list[EvaluatedPoint]:
+) -> Evaluation:
     """Choose the target x of every insertion point of one MLL call and
     estimate its cost; one :class:`EvaluatedPoint` per point, in order.
 
@@ -266,14 +330,14 @@ def evaluate_insertion_point(
     go to the smaller ``|x - desired_x|``, then the smaller x.
     """
     if not points:
-        return []
+        return Evaluation(points, np.empty(0), np.empty(0))
     if mode is EvaluationMode.EXACT:
         a, b = _exact_pairs(region, points, target.width)
     else:
         a, b = _neighbour_pairs(points, target.width)
     npts, width = a.shape
-    x_lo = np.fromiter((p.x_lo for p in points), dtype=np.float64, count=npts)
-    x_hi = np.fromiter((p.x_hi for p in points), dtype=np.float64, count=npts)
+    x_lo = np.fromiter(map(_X_LO, points), dtype=np.float64, count=npts)
+    x_hi = np.fromiter(map(_X_HI, points), dtype=np.float64, count=npts)
     desired = np.full((npts, 1), desired_x, dtype=np.float64)
 
     # The lower median of the 2·width + 2 endpoints sits at index width.
@@ -296,11 +360,8 @@ def evaluate_insertion_point(
     best_own = own_at_best.min(axis=1, keepdims=True)
     best_x = np.where(own_at_best == best_own, cand, _INF).min(axis=1)
 
-    rows = np.fromiter((p.bottom_row for p in points), dtype=np.float64, count=npts)
+    rows = np.fromiter(map(_BOTTOM_ROW, points), dtype=np.float64, count=npts)
     cost_um = (
         best_cost[:, 0] * site_width_um + np.abs(rows - desired_y) * site_height_um
     )
-    return [
-        EvaluatedPoint(point=p, target_x=int(x), cost=c)
-        for p, x, c in zip(points, best_x.tolist(), cost_um.tolist())
-    ]
+    return Evaluation(points, best_x, cost_um)

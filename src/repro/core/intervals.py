@@ -18,14 +18,11 @@ matters to the enumeration scanline (it must clear queues), so
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.core.bounds import PlacementBounds
 from repro.core.local_region import LocalRegion
 from repro.db.cell import Cell
 
 
-@dataclass(frozen=True, slots=True)
 class InsertionInterval:
     """One gap of one segment, annotated with the feasible target range.
 
@@ -34,14 +31,40 @@ class InsertionInterval:
     is the slot position in the segment's ordered cell list: inserting at
     ``gap_index`` g places the target between ``cells[g-1]`` and
     ``cells[g]``.
+
+    A plain slotted record: MLL builds one per gap of every call, so it
+    skips a frozen dataclass's per-field ``object.__setattr__``.  Treat
+    it as immutable; equality is by field values, and it is unhashable.
     """
 
-    row_index: int
-    left: Cell | None
-    right: Cell | None
-    gap_index: int
-    x_lo: int
-    x_hi: int
+    __slots__ = ("row_index", "left", "right", "gap_index", "x_lo", "x_hi")
+
+    def __init__(
+        self,
+        row_index: int,
+        left: Cell | None,
+        right: Cell | None,
+        gap_index: int,
+        x_lo: int,
+        x_hi: int,
+    ) -> None:
+        self.row_index = row_index
+        self.left = left
+        self.right = right
+        self.gap_index = gap_index
+        self.x_lo = x_lo
+        self.x_hi = x_hi
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, InsertionInterval):
+            return NotImplemented
+        return (
+            self.row_index, self.left, self.right,
+            self.gap_index, self.x_lo, self.x_hi,
+        ) == (
+            other.row_index, other.left, other.right,
+            other.gap_index, other.x_lo, other.x_hi,
+        )
 
     @property
     def length(self) -> int:
@@ -74,29 +97,22 @@ def build_insertion_intervals(
     """
     feasible: list[InsertionInterval] = []
     discarded: list[InsertionInterval] = []
+    x_left, x_right = bounds.left, bounds.right
     for row in region.rows():
         seg = region.segments[row]
-        n = len(seg.cells)
-        for g in range(n + 1):
-            left = seg.cells[g - 1] if g > 0 else None
-            right = seg.cells[g] if g < n else None
-            x_lo = (
-                seg.x0
-                if left is None
-                else bounds.x_left(left.id) + left.width
-            )
+        # Gap g lies between cells[g-1] (or the left boundary) and
+        # cells[g] (or the right boundary).
+        left: Cell | None = None
+        x_lo = seg.x0
+        for g, right in enumerate((*seg.cells, None)):
             x_hi = (
                 seg.x1 - target_width
                 if right is None
-                else bounds.x_right(right.id) - target_width
+                else x_right[right.id] - target_width
             )
-            interval = InsertionInterval(
-                row_index=row,
-                left=left,
-                right=right,
-                gap_index=g,
-                x_lo=x_lo,
-                x_hi=x_hi,
-            )
+            interval = InsertionInterval(row, left, right, g, x_lo, x_hi)
             (feasible if interval.is_feasible else discarded).append(interval)
+            if right is not None:
+                left = right
+                x_lo = x_left[right.id] + right.width
     return feasible, discarded

@@ -18,7 +18,14 @@ fixed-point construction that matches every property stated in the paper:
    chose incompatible runs — cells ``i`` and ``c`` of Figure 3) becomes
    non-local, and extraction repeats with it as a blocker.
 
-The non-local set only grows, so the iteration terminates.
+The non-local set only grows, so the iteration terminates.  A row's
+choice depends only on the non-local cells in it, so a repeat re-chooses
+just the rows the newly rejected cells span.
+
+Every scan is bounded by the window: blockers come from the window's
+slice of each segment (:meth:`~repro.db.segment.Segment.cells_overlapping`)
+and local cells from a bisected slice of it.  Both rely on the database
+invariant that a segment's cell list is ordered by x and non-overlapping.
 """
 
 from __future__ import annotations
@@ -31,13 +38,19 @@ from repro.db.floorplan import Floorplan
 from repro.db.segment import Segment
 from repro.geometry import Rect
 
+_Footprint = tuple[Cell, int, int, range]
+"""A window cell with its x span ``[x, x1)`` and the rows it spans."""
+
 
 @dataclass(slots=True)
 class LocalSegment:
     """One row's slice of the local region.
 
     ``cells`` holds the local cells overlapping the slice, ordered by x —
-    the order MLL will preserve.
+    the order MLL will preserve.  ``positions`` maps a cell id to its
+    index in ``cells``; it is a cache that :meth:`LocalRegion.cell_index`
+    verifies on every hit and rebuilds on a miss, so inserts and journal
+    rollbacks on ``cells`` never need to touch it.
     """
 
     row_index: int
@@ -45,6 +58,7 @@ class LocalSegment:
     x1: int
     db_segment: Segment
     cells: list[Cell] = field(default_factory=list)
+    positions: dict[int, int] = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def width(self) -> int:
@@ -76,11 +90,22 @@ class LocalRegion:
         return sorted(self.segments)
 
     def cell_index(self, row_index: int, cell: Cell) -> int:
-        """Index of *cell* in the local segment of ``row_index``."""
+        """Index of *cell* in the local segment of ``row_index``.
+
+        O(1): the segment's id→index cache answers when the cell found
+        there is *cell* itself; otherwise (the list changed since the
+        cache was built, or it never was) the cache is rebuilt once.
+        Cell ids are unique within a design.
+        """
         seg = self.segments[row_index]
-        for i, c in enumerate(seg.cells):
-            if c is cell:
-                return i
+        cells = seg.cells
+        i = seg.positions.get(cell.id)
+        if i is not None and i < len(cells) and cells[i] is cell:
+            return i
+        seg.positions = {c.id: j for j, c in enumerate(cells)}
+        i = seg.positions.get(cell.id)
+        if i is not None and cells[i] is cell:
+            return i
         raise ValueError(f"cell {cell.name!r} not local in row {row_index}")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -110,78 +135,81 @@ def extract_local_region(
     wx0 = max(0, int(window.x))
     wx1 = min(fp.row_width, int(window.x1))
     center_x = (wx0 + wx1) / 2
-
-    # Cells intersecting the window area at all (placed ones only).
-    touching: list[Cell] = design.cells_overlapping_rect(
-        Rect(wx0, row_lo, wx1 - wx0, row_hi - row_lo)
-    )
     window_box = Rect(wx0, row_lo, wx1 - wx0, row_hi - row_lo)
+
+    # Cells intersecting the window area at all (placed ones only); the
+    # ones completely inside it may be local.
     non_local_ids: set[int] = set()
-    for cell in touching:
-        if cell.fixed or not window_box.contains_rect(cell.rect):
+    candidates: list[_Footprint] = []
+    for cell in design.cells_overlapping_rect(window_box):
+        x, y = cell.x, cell.y
+        assert x is not None and y is not None
+        x1 = x + cell.width
+        y1 = y + cell.height
+        if cell.fixed or x < wx0 or x1 > wx1 or y < row_lo or y1 > row_hi:
             non_local_ids.add(cell.id)
+        else:
+            candidates.append((cell, x, x1, range(y, y1)))
 
+    segments: dict[int, LocalSegment] = {}
+    rows: list[int] | range = range(row_lo, row_hi)
     while True:
-        segments = _choose_local_segments(
-            fp, touching, non_local_ids, row_lo, row_hi, wx0, wx1, center_x,
-            region_id,
-        )
-        local, rejected = _classify_cells(touching, non_local_ids, segments)
+        for row in rows:
+            seg = _choose_local_segment(
+                fp, row, non_local_ids, wx0, wx1, center_x, region_id
+            )
+            if seg is not None:
+                segments[row] = seg
+            else:
+                segments.pop(row, None)
+        candidates, rejected = _classify_cells(candidates, segments)
         if not rejected:
-            for cell in local:
-                for row in cell.rows_spanned():
-                    # repro-lint: disable=RL1 -- LocalSegment is a scratch
-                    # copy of the window, not journaled DB state
-                    segments[row].cells.append(cell)
-            for seg in segments.values():
-                # repro-lint: disable=RL1 -- scratch LocalSegment list
-                seg.cells.sort(key=lambda c: c.x)  # type: ignore[arg-type,return-value]
-            return LocalRegion(window=window_box, segments=segments, cells=local)
-        non_local_ids.update(c.id for c in rejected)
+            break
+        non_local_ids.update(cell.id for cell, *_ in rejected)
+        rows = sorted({r for *_, spanned in rejected for r in spanned})
+
+    local = [cell for cell, *_ in candidates]
+    local_ids = {c.id for c in local}
+    for seg in segments.values():
+        db_seg = seg.db_segment
+        lo = db_seg.bisect(seg.x0)
+        hi = db_seg.bisect(seg.x1, lo)
+        seg.cells = [c for c in db_seg.cells[lo:hi] if c.id in local_ids]
+    return LocalRegion(window=window_box, segments=segments, cells=local)
 
 
-def _choose_local_segments(
+def _choose_local_segment(
     fp: Floorplan,
-    touching: list[Cell],
+    row: int,
     non_local_ids: set[int],
-    row_lo: int,
-    row_hi: int,
     wx0: int,
     wx1: int,
     center_x: float,
-    region_id: int | None = None,
-) -> dict[int, LocalSegment]:
-    """Pick, per row, the candidate run closest to the window center."""
-    segments: dict[int, LocalSegment] = {}
-    for row in range(row_lo, row_hi):
-        best: tuple[float, int, int, Segment] | None = None
-        for db_seg in fp.segments_in_row(row):
-            if db_seg.region != region_id:
-                continue
-            lo = max(db_seg.x0, wx0)
-            hi = min(db_seg.x1, wx1)
-            if lo >= hi:
-                continue
-            # Blockers: non-local cells overlapping this run.
-            spans = sorted(
-                (max(int(c.x), lo), min(int(c.x) + c.width, hi))  # type: ignore[arg-type]
-                for c in db_seg.cells
-                if c.id in non_local_ids and c.x is not None and c.x < hi
-                and c.x + c.width > lo
-            )
-            x = lo
-            for b_lo, b_hi in spans:
-                if b_lo > x:
-                    best = _better(best, x, b_lo, center_x, db_seg)
-                x = max(x, b_hi)
-            if x < hi:
-                best = _better(best, x, hi, center_x, db_seg)
-        if best is not None:
-            _, lo, hi, db_seg = best
-            segments[row] = LocalSegment(
-                row_index=row, x0=lo, x1=hi, db_segment=db_seg
-            )
-    return segments
+    region_id: int | None,
+) -> LocalSegment | None:
+    """The candidate run of *row* closest to the window center, if any."""
+    best: tuple[float, int, int, Segment] | None = None
+    for db_seg in fp.segments_in_row(row):
+        if db_seg.region != region_id:
+            continue
+        lo = max(db_seg.x0, wx0)
+        hi = min(db_seg.x1, wx1)
+        if lo >= hi:
+            continue
+        # Blockers: the non-local cells among this run's cells, in x order.
+        x = lo
+        for c in db_seg.cells_overlapping(lo, hi):
+            if c.id in non_local_ids:
+                assert c.x is not None
+                if c.x > x:
+                    best = _better(best, x, c.x, center_x, db_seg)
+                x = max(x, c.x + c.width)
+        if x < hi:
+            best = _better(best, x, hi, center_x, db_seg)
+    if best is None:
+        return None
+    _, lo, hi, db_seg = best
+    return LocalSegment(row_index=row, x0=lo, x1=hi, db_segment=db_seg)
 
 
 def _better(
@@ -205,29 +233,23 @@ def _better(
 
 
 def _classify_cells(
-    touching: list[Cell],
-    non_local_ids: set[int],
-    segments: dict[int, LocalSegment],
-) -> tuple[list[Cell], list[Cell]]:
-    """Split window cells into local and newly-rejected (non-local).
+    candidates: list[_Footprint], segments: dict[int, LocalSegment]
+) -> tuple[list[_Footprint], list[_Footprint]]:
+    """Split the not-yet-rejected window cells into local and newly
+    rejected (non-local), keeping their order.
 
     A cell is local iff every row it spans has a local segment that fully
     contains the cell's span.
     """
-    local: list[Cell] = []
-    rejected: list[Cell] = []
-    for cell in touching:
-        if cell.id in non_local_ids:
-            continue
-        assert cell.x is not None
-        ok = all(
-            row in segments
-            and cell.x >= segments[row].x0
-            and cell.x + cell.width <= segments[row].x1
-            for row in cell.rows_spanned()
-        )
-        if ok:
-            local.append(cell)
+    local: list[_Footprint] = []
+    rejected: list[_Footprint] = []
+    for entry in candidates:
+        _, x, x1, spanned = entry
+        for row in spanned:
+            seg = segments.get(row)
+            if seg is None or x < seg.x0 or x1 > seg.x1:
+                rejected.append(entry)
+                break
         else:
-            rejected.append(cell)
+            local.append(entry)
     return local, rejected

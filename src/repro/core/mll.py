@@ -24,10 +24,17 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
+import numpy as np
+from numpy.typing import NDArray
+
 from repro.core.bounds import compute_bounds
 from repro.core.config import EvaluationMode, LegalizerConfig
 from repro.core.enumeration import enumerate_insertion_points
-from repro.core.evaluation import EvaluatedPoint, evaluate_insertion_point
+from repro.core.evaluation import (
+    EvaluatedPoint,
+    Evaluation,
+    evaluate_insertion_point,
+)
 from repro.core.intervals import build_insertion_intervals
 from repro.core.local_region import LocalRegion, extract_local_region
 from repro.core.realization import realize_insertion
@@ -153,18 +160,11 @@ class MultiRowLocalLegalizer:
             on_region(region)
         if not region.segments:
             return MllResult(success=False)
-        evaluated = self._evaluate_region(region, target, x, y, cfg.evaluation)
-        if not evaluated:
-            return MllResult(success=False)
-
-        best: EvaluatedPoint | None = None
-        for ev in evaluated:
-            if self._exceeds_displacement_cap(ev, x, y):
-                continue
-            if best is None or ev.cost < best.cost:
-                best = ev
-        if best is None:
-            return MllResult(success=False, num_insertion_points=len(evaluated))
+        evaluation = self._evaluate_region(region, target, x, y, cfg.evaluation)
+        i = evaluation.first_min(self._within_cap(evaluation, x, y))
+        if i is None:
+            return MllResult(success=False, num_insertion_points=len(evaluation))
+        best = evaluation[i]
         # Transactional realization: any exception below (a
         # RealizationError, an audit violation, an injected fault, even a
         # KeyboardInterrupt) rolls the design back to the exact pre-call
@@ -174,7 +174,7 @@ class MultiRowLocalLegalizer:
             if cfg.audit:
                 self._audit(region, target)
         return MllResult(
-            success=True, num_insertion_points=len(evaluated), chosen=best
+            success=True, num_insertion_points=len(evaluation), chosen=best
         )
 
     def _evaluate_region(
@@ -184,9 +184,9 @@ class MultiRowLocalLegalizer:
         desired_x: float,
         desired_y: float,
         mode: EvaluationMode,
-    ) -> list[EvaluatedPoint]:
+    ) -> Evaluation:
         """bounds → intervals → enumeration → evaluation, one
-        :class:`EvaluatedPoint` per insertion point in enumeration order."""
+        scored point per insertion point in enumeration order."""
         fp = self.design.floorplan
         row_ok = self._row_predicate(target)
         bounds = compute_bounds(region)
@@ -246,19 +246,22 @@ class MultiRowLocalLegalizer:
             return None
         return lambda r: all(check(r) for check in checks)
 
-    def _exceeds_displacement_cap(
-        self, ev: EvaluatedPoint, desired_x: float, desired_y: float
-    ) -> bool:
-        """True when the target's own displacement breaks the optional
-        per-call cap (config.max_target_displacement_um)."""
+    def _within_cap(
+        self, evaluation: Evaluation, desired_x: float, desired_y: float
+    ) -> NDArray[np.bool_] | None:
+        """Per point: does the target's own displacement respect the
+        optional per-call cap (config.max_target_displacement_um)?
+        ``None`` when there is no cap."""
         cap = self.config.max_target_displacement_um
         if cap is None:
-            return False
+            return None
         fp = self.design.floorplan
-        own = fp.displacement_um(
-            ev.target_x - desired_x, ev.bottom_row - desired_y
+        # Floorplan.displacement_um, one float64 operation per point.
+        own = (
+            np.abs(evaluation.target_x - desired_x) * fp.site_width_um
+            + np.abs(evaluation.bottom_rows() - desired_y) * fp.site_height_um
         )
-        return own > cap
+        return ~(own > cap)
 
     def evaluate_candidates(
         self,
@@ -287,13 +290,12 @@ class MultiRowLocalLegalizer:
         )
         if not region.segments:
             return []
-        evaluated = self._evaluate_region(
+        evaluation = self._evaluate_region(
             region, target, x, y, mode if mode is not None else cfg.evaluation
         )
-        if apply_displacement_cap:
-            evaluated = [
-                ev
-                for ev in evaluated
-                if not self._exceeds_displacement_cap(ev, x, y)
-            ]
-        return evaluated
+        allowed = (
+            self._within_cap(evaluation, x, y) if apply_displacement_cap else None
+        )
+        if allowed is None:
+            return list(evaluation)
+        return [ev for ev, ok in zip(evaluation, allowed.tolist()) if ok]

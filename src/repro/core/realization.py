@@ -67,8 +67,9 @@ def realize_insertion(
     for iv in point.intervals:
         local_seg = region.segments[iv.row_index]
         db_seg = local_seg.db_segment
-        left_outside = sum(1 for c in db_seg.cells if c.x < local_seg.x0)  # type: ignore[operator]
-        db_index = left_outside + iv.gap_index
+        # The DB list is ordered by x: cells left of the local segment
+        # come first, then the local ones in local order.
+        db_index = db_seg.bisect(local_seg.x0) + iv.gap_index
         db_seg.cells.insert(db_index, target)
         if journal is not None:
             journal.note_list_insert(

@@ -10,6 +10,7 @@ so that the segment lists never go stale.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Iterator
 
 from repro.db.cell import Cell
@@ -261,20 +262,29 @@ class Design:
     # ------------------------------------------------------------------
     def candidate_rows(
         self, cell: Cell, ty: float, power_aligned: bool = True
-    ) -> list[int]:
+    ) -> Iterator[int]:
         """Row start indices for *cell*, nearest to ``ty`` first.
 
         Only rows where the cell fits vertically (and, when
-        ``power_aligned``, with matching rail parity) are yielded.
+        ``power_aligned``, with matching rail parity) are yielded, in
+        ``(abs(y - ty), y)`` order: the walk goes outward from ``ty``,
+        taking the lower row on a tie, so a caller that stops at the
+        first fit never visits the rest of the die.  A non-finite ``ty``
+        (every distance infinite or NaN) yields the rows bottom up.
         """
         max_y = self.floorplan.num_rows - cell.height
-        rows = [
-            y
-            for y in range(0, max_y + 1)
-            if not power_aligned or self.row_compatible(cell, y)
-        ]
-        rows.sort(key=lambda y: (abs(y - ty), y))
-        return rows
+        below = min(math.floor(ty), max_y) if math.isfinite(ty) else -1
+        above = max(below + 1, 0)
+        while below >= 0 or above <= max_y:
+            # ty - below == abs(below - ty) exactly, and likewise above.
+            if above > max_y or (below >= 0 and ty - below <= above - ty):
+                y = below
+                below -= 1
+            else:
+                y = above
+                above += 1
+            if not power_aligned or self.row_compatible(cell, y):
+                yield y
 
     def nearest_position(
         self, cell: Cell, tx: float, ty: float, power_aligned: bool = True

@@ -13,9 +13,13 @@ queries all derive from it.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from operator import attrgetter
 from typing import Iterator
 
 from repro.db.cell import Cell
+
+_X = attrgetter("x")
 
 
 class Segment:
@@ -71,22 +75,16 @@ class Segment:
     # ------------------------------------------------------------------
     # Ordered cell list maintenance
     # ------------------------------------------------------------------
-    def _bisect(self, x: float) -> int:
-        """Index of the first cell with ``cell.x >= x``."""
-        lo, hi = 0, len(self.cells)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.cells[mid].x < x:  # type: ignore[operator]
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
+    def bisect(self, x: float, lo: int = 0) -> int:
+        """Index of the first cell at or after ``lo`` with ``cell.x >= x``
+        (the list is ordered by x)."""
+        return bisect_left(self.cells, x, lo, key=_X)
 
     def insert_cell(self, cell: Cell) -> None:
         """Insert a placed cell, keeping the list ordered by x."""
         if cell.x is None:
             raise ValueError(f"cannot insert unplaced cell {cell.name!r}")
-        self.cells.insert(self._bisect(cell.x), cell)
+        self.cells.insert(self.bisect(cell.x), cell)
 
     def remove_cell(self, cell: Cell) -> None:
         """Remove *cell* from the list.
@@ -116,7 +114,7 @@ class Segment:
         # First cell whose right edge could exceed x: start a little early
         # and skip; widths vary so we scan from the first cell with
         # cell.x >= x minus one position.
-        i = self._bisect(x)
+        i = self.bisect(x)
         if i > 0 and self.cells[i - 1].x + self.cells[i - 1].width > x:
             yield self.cells[i - 1]
         while i < len(self.cells) and self.cells[i].x < x_end:

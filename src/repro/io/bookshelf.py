@@ -27,6 +27,7 @@ Deviations, all documented here:
 
 from __future__ import annotations
 
+import math
 import os
 
 from repro.db.design import Design, PlacementError
@@ -165,6 +166,21 @@ def read_bookshelf(aux_path: str) -> Design:
     return design
 
 
+def _finite(token: str) -> float:
+    """A finite float; ``ValueError`` otherwise (``float()`` alone
+    accepts ``nan`` and ``inf``)."""
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"{token!r} is not finite")
+    return value
+
+
+def _site_int(token: str) -> int:
+    """A whole site count or coordinate, written ``12`` or ``12.0``;
+    ``ValueError`` for anything else, ``nan`` and ``inf`` included."""
+    return int(_finite(token))
+
+
 def _declared_count(path: str, line: str) -> int:
     """The value of a ``NumX : n`` header line of *path*."""
     try:
@@ -196,43 +212,48 @@ def _read_scl(path: str) -> Floorplan:
     orient = "N"
     declared: int | None = None
     with open(path) as f:
-        for raw in f:
+        for lineno, raw in enumerate(f, 1):
             line = raw.strip()
             if line.startswith("NumRows"):
                 declared = _declared_count(path, line)
                 continue
-            if line.startswith("# SiteMicrons"):
-                parts = line.split()
-                site_w, site_h = float(parts[2]), float(parts[3])
-                continue
-            if line.startswith("# Blockage"):
-                parts = line.split()
-                blockages.append(
-                    Rect(int(parts[2]), int(parts[3]), int(parts[4]), int(parts[5]))
-                )
-                continue
-            if line.startswith("# Fence"):
-                parts = line.split()
-                fid, fname = int(parts[2]), parts[3]
-                rect = Rect(
-                    int(parts[4]), int(parts[5]), int(parts[6]), int(parts[7])
-                )
-                fence_rects.setdefault(fid, (fname, []))[1].append(rect)
-                continue
-            if not line or line.startswith("#"):
-                continue
-            if line.startswith("CoreRow"):
-                coord = origin = nsites = None
-                orient = "N"
-            elif line.startswith("Coordinate"):
-                coord = int(float(line.split(":")[1]))
-            elif line.startswith("Siteorient"):
-                orient = line.split(":")[1].strip()
-            elif line.startswith("SubrowOrigin"):
-                parts = line.replace(":", " ").split()
-                origin = int(float(parts[1]))
-                nsites = int(float(parts[3]))
-            elif line.startswith("End"):
+            try:
+                if line.startswith("# SiteMicrons"):
+                    parts = line.split()
+                    site_w, site_h = _finite(parts[2]), _finite(parts[3])
+                    continue
+                if line.startswith("# Blockage"):
+                    parts = line.split()
+                    blockages.append(
+                        Rect(int(parts[2]), int(parts[3]), int(parts[4]), int(parts[5]))
+                    )
+                    continue
+                if line.startswith("# Fence"):
+                    parts = line.split()
+                    fid, fname = int(parts[2]), parts[3]
+                    rect = Rect(
+                        int(parts[4]), int(parts[5]), int(parts[6]), int(parts[7])
+                    )
+                    fence_rects.setdefault(fid, (fname, []))[1].append(rect)
+                    continue
+                if not line or line.startswith("#"):
+                    continue
+                if line.startswith("CoreRow"):
+                    coord = origin = nsites = None
+                    orient = "N"
+                elif line.startswith("Coordinate"):
+                    coord = _site_int(line.split(":")[1])
+                elif line.startswith("Siteorient"):
+                    orient = line.split(":")[1].strip()
+                elif line.startswith("SubrowOrigin"):
+                    parts = line.replace(":", " ").split()
+                    origin = _site_int(parts[1])
+                    nsites = _site_int(parts[3])
+            except (IndexError, ValueError):
+                raise ValueError(
+                    f"{path}:{lineno}: malformed record {line!r}"
+                ) from None
+            if line.startswith("End"):
                 if coord is None or origin is None or nsites is None:
                     raise ValueError(f"malformed CoreRow block in {path}")
                 rail = Rail.GND if orient == "N" else Rail.VDD
@@ -276,7 +297,7 @@ def _read_nodes(design: Design, path: str) -> None:
                 continue
             parts = line.split()
             try:
-                name, w, h = parts[0], int(float(parts[1])), int(float(parts[2]))
+                name, w, h = parts[0], _site_int(parts[1]), _site_int(parts[2])
             except (IndexError, ValueError):
                 raise ValueError(
                     f"{path}:{lineno}: node record {line!r} needs a name, "
@@ -286,10 +307,17 @@ def _read_nodes(design: Design, path: str) -> None:
             rail: Rail | None = None
             region: int | None = None
             for token in parts[3:]:
-                if token.startswith("rail="):
-                    rail = Rail[token.split("=")[1]]
-                elif token.startswith("region="):
-                    region = int(token.split("=")[1])
+                key, _, value = token.partition("=")
+                try:
+                    if key == "rail":
+                        rail = Rail[value]
+                    elif key == "region":
+                        region = int(value)
+                except (KeyError, ValueError):
+                    raise ValueError(
+                        f"{path}:{lineno}: node record {line!r} has a bad "
+                        f"{key} {value!r}"
+                    ) from None
             if h % 2 == 0 and rail is None:
                 rail = Rail.VDD
             master = design.library.get_or_create(w, h, rail)
@@ -315,15 +343,15 @@ def _read_pl(design: Design, path: str) -> None:
                 cell = by_name[parts[0]]
                 ctoks = comment.split()
                 try:
-                    x, y = float(parts[1]), float(parts[2])
+                    x, y = _finite(parts[1]), _finite(parts[2])
                     if len(ctoks) >= 3 and ctoks[0] == "gp":
-                        cell.gp_x, cell.gp_y = float(ctoks[1]), float(ctoks[2])
+                        cell.gp_x, cell.gp_y = _finite(ctoks[1]), _finite(ctoks[2])
                     else:
                         cell.gp_x, cell.gp_y = x, y
                 except (IndexError, ValueError):
                     raise ValueError(
                         f"{path}:{lineno}: record {line!r} of cell "
-                        f"{cell.name!r} needs numeric coordinates"
+                        f"{cell.name!r} needs finite numeric coordinates"
                     ) from None
                 if "unplaced" in ctoks:
                     continue
@@ -342,7 +370,7 @@ def _read_nets(design: Design, path: str) -> None:
     declared: int | None = None
     headers = 0
     with open(path) as f:
-        for raw in f:
+        for lineno, raw in enumerate(f, 1):
             line = raw.strip()
             if line.startswith("NumNets"):
                 declared = _declared_count(path, line)
@@ -359,8 +387,14 @@ def _read_nets(design: Design, path: str) -> None:
                 continue
             parts = line.replace(":", " ").split()
             if parts and parts[0] in by_name:
-                dx = float(parts[2]) if len(parts) > 2 else 0.0
-                dy = float(parts[3]) if len(parts) > 3 else 0.0
+                try:
+                    dx = _finite(parts[2]) if len(parts) > 2 else 0.0
+                    dy = _finite(parts[3]) if len(parts) > 3 else 0.0
+                except ValueError:
+                    raise ValueError(
+                        f"{path}:{lineno}: pin record {line!r} needs finite "
+                        f"numeric offsets"
+                    ) from None
                 pname = parts[4] if len(parts) > 4 else ""
                 current.append(
                     Pin(cell=by_name[parts[0]], dx=dx, dy=dy, name=pname)

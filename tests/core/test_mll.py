@@ -1,6 +1,7 @@
 """Unit tests for the MLL primitive (paper Section 4)."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -114,3 +115,104 @@ class TestOptimality:
         assert (w.x, w.y) == (10 - 30, 3 - 5)
         assert w.w == 2 * 30 + 3
         assert w.h == 2 * 5 + 2
+
+
+def first_min(candidates):
+    """The first candidate of least cost (later equal costs lose)."""
+    best = None
+    for ev in candidates:
+        if best is None or ev.cost < best.cost:
+            best = ev
+    return best
+
+
+class TestTieBreakParity:
+    """try_place realizes exactly the first minimum-cost entry of
+    evaluate_candidates, under the same displacement cap."""
+
+    def _check(self, d, t, tx, ty, config):
+        """Returns the capped and the uncapped candidate lists."""
+        mll = MultiRowLocalLegalizer(d, config)
+        candidates = mll.evaluate_candidates(t, tx, ty)
+        uncapped = mll.evaluate_candidates(t, tx, ty, apply_displacement_cap=False)
+        # The vectorized cap keeps exactly what the scalar formula keeps.
+        cap = config.max_target_displacement_um
+        kept = [
+            ev
+            for ev in uncapped
+            if cap is None
+            or not d.floorplan.displacement_um(ev.target_x - tx, ev.bottom_row - ty) > cap
+        ]
+        assert candidates == kept
+        expected = first_min(candidates)
+        result = mll.try_place(t, tx, ty)
+        assert result.num_insertion_points == len(uncapped)
+        if expected is None:
+            assert not result.success
+            assert not t.is_placed
+        else:
+            assert result.success
+            chosen = result.chosen
+            assert chosen.point.key() == expected.point.key()
+            assert (chosen.target_x, chosen.cost) == (expected.target_x, expected.cost)
+            assert (t.x, t.y) == (expected.target_x, expected.bottom_row)
+        return candidates, uncapped
+
+    @pytest.mark.parametrize("mode", [EvaluationMode.APPROX, EvaluationMode.EXACT])
+    @pytest.mark.parametrize("capped", [False, True])
+    def test_seeded_designs(self, mode, capped):
+        rng = random.Random(31 if capped else 37)
+        outcomes = set()
+        for _ in range(30):
+            d = random_legal_design(rng, num_rows=8, row_width=30, n_cells=18)
+            w, h = rng.randint(1, 4), rng.randint(1, 3)
+            tx, ty = rng.uniform(0, 30 - w), rng.uniform(0, 8 - h)
+            t = add_unplaced(d, w, h, tx, ty)
+            cap = None
+            if capped:
+                cap = d.floorplan.displacement_um(
+                    rng.uniform(0, 4), rng.choice((0, 0, 1))
+                )
+            config = LegalizerConfig(
+                rx=8, ry=2, evaluation=mode, max_target_displacement_um=cap
+            )
+            candidates, uncapped = self._check(d, t, tx, ty, config)
+            outcomes.add(
+                "all" if len(candidates) == len(uncapped)
+                else "some" if candidates else "none"
+            )
+        if capped:  # it rejects some candidates, and now and then all
+            assert {"some", "none"} <= outcomes
+        else:
+            assert outcomes == {"all"}
+
+    @pytest.mark.parametrize("mode", [EvaluationMode.APPROX, EvaluationMode.EXACT])
+    @pytest.mark.parametrize("capped", [False, True])
+    def test_equal_cost_candidates(self, mode, capped):
+        # Rows 1 and 2 are mirror images around the desired y = 1.5, so
+        # candidates come in pairs of equal cost; the first listed must
+        # win.  The cap, when set, equals the own displacement of the
+        # tied winners: they stay, farther candidates go.
+        def build():
+            d = make_design(num_rows=4, row_width=20)
+            for row in (1, 2):
+                add_placed(d, 4, 1, 8, row)
+            return d, add_unplaced(d, 2, 1, 9.0, 1.5)
+
+        config = LegalizerConfig(rx=6, ry=1, evaluation=mode)
+        if capped:
+            d, t = build()
+            uncapped = MultiRowLocalLegalizer(d, config).evaluate_candidates(t, 9.0, 1.5)
+            best = first_min(uncapped)
+            config = replace(
+                config,
+                max_target_displacement_um=d.floorplan.displacement_um(
+                    best.target_x - 9.0, best.bottom_row - 1.5
+                ),
+            )
+        d, t = build()
+        candidates, uncapped = self._check(d, t, 9.0, 1.5, config)
+        least = min(ev.cost for ev in candidates)
+        assert sum(ev.cost == least for ev in candidates) >= 2
+        if capped:
+            assert len(candidates) < len(uncapped)

@@ -213,3 +213,95 @@ class TestDamagedRecords:
             ValueError, match=rf"cut\.pl:{lineno}: record 'c12 12' of cell 'c12'"
         ):
             read_bookshelf(bundle)
+
+    @staticmethod
+    def _damage_line(aux, ext, prefix, edit):
+        """Replace the first line of ``.ext`` starting with *prefix* by
+        ``edit(tokens)``; returns its 1-based line number."""
+        path = aux[: -len("aux")] + ext
+        with open(path) as f:
+            lines = f.readlines()
+        index = next(i for i, line in enumerate(lines) if line.strip().startswith(prefix))
+        lines[index] = "  " + " ".join(edit(lines[index].split())) + "\n"
+        with open(path, "w") as f:
+            f.writelines(lines)
+        return index + 1
+
+    def test_nodes_unknown_rail(self, bundle):
+        lineno = self._damage(bundle, "nodes", "c12", lambda t: [*t, "rail=XYZ"])
+        with pytest.raises(
+            ValueError, match=rf"cut\.nodes:{lineno}: node record 'c12 5 1 rail=XYZ' has a bad rail 'XYZ'"
+        ):
+            read_bookshelf(bundle)
+
+    def test_nodes_region_not_a_number(self, bundle):
+        lineno = self._damage(bundle, "nodes", "c12", lambda t: [*t, "region=abc"])
+        with pytest.raises(
+            ValueError, match=rf"cut\.nodes:{lineno}: node record 'c12 5 1 region=abc' has a bad region 'abc'"
+        ):
+            read_bookshelf(bundle)
+
+    def test_nodes_width_infinite(self, bundle):
+        lineno = self._damage(bundle, "nodes", "c12", lambda t: [t[0], "inf", *t[2:]])
+        with pytest.raises(
+            ValueError, match=rf"cut\.nodes:{lineno}: node record 'c12 inf 1' needs"
+        ):
+            read_bookshelf(bundle)
+
+    def test_nets_pin_offset_not_a_number(self, bundle):
+        lineno = self._damage(bundle, "nets", "c12", lambda t: [*t[:3], "2.5q", *t[4:]])
+        with pytest.raises(
+            ValueError, match=rf"cut\.nets:{lineno}: pin record 'c12 B : 2\.5q 0\.7 b' needs"
+        ):
+            read_bookshelf(bundle)
+
+    def test_nets_pin_offset_infinite(self, bundle):
+        lineno = self._damage(bundle, "nets", "c12", lambda t: [*t[:4], "-inf", *t[5:]])
+        with pytest.raises(
+            ValueError, match=rf"cut\.nets:{lineno}: pin record 'c12 B : 2\.5 -inf b' needs"
+        ):
+            read_bookshelf(bundle)
+
+    def test_scl_coordinate_not_a_number(self, bundle):
+        lineno = self._damage_line(bundle, "scl", "Coordinate", lambda t: [*t[:2], "abc"])
+        with pytest.raises(
+            ValueError, match=rf"cut\.scl:{lineno}: malformed record 'Coordinate : abc'"
+        ):
+            read_bookshelf(bundle)
+
+    def test_scl_subrow_without_numsites(self, bundle):
+        lineno = self._damage_line(bundle, "scl", "SubrowOrigin", lambda t: t[:3])
+        with pytest.raises(
+            ValueError, match=rf"cut\.scl:{lineno}: malformed record 'SubrowOrigin : 0'"
+        ):
+            read_bookshelf(bundle)
+
+    def test_scl_numsites_nan(self, bundle):
+        lineno = self._damage_line(bundle, "scl", "SubrowOrigin", lambda t: [*t[:-1], "nan"])
+        with pytest.raises(
+            ValueError, match=rf"cut\.scl:{lineno}: malformed record 'SubrowOrigin : 0 NumSites : nan'"
+        ):
+            read_bookshelf(bundle)
+
+    def test_scl_site_microns_cut_short(self, bundle):
+        lineno = self._damage_line(bundle, "scl", "# SiteMicrons", lambda t: t[:3])
+        with pytest.raises(
+            ValueError, match=rf"cut\.scl:{lineno}: malformed record '# SiteMicrons 0\.2'"
+        ):
+            read_bookshelf(bundle)
+
+    def test_pl_gp_not_finite(self, bundle):
+        # float() accepts "inf"; the record must not load, or legalize
+        # later fails far from the cause.
+        lineno = self._damage(bundle, "pl", "c12", lambda t: [*t[:7], "inf", *t[8:]])
+        with pytest.raises(
+            ValueError, match=rf"cut\.pl:{lineno}: record 'c12 12 2 : N # gp inf .*' of cell 'c12' needs finite"
+        ):
+            read_bookshelf(bundle)
+
+    def test_pl_coordinate_not_finite(self, bundle):
+        lineno = self._damage(bundle, "pl", "c12", lambda t: [t[0], "nan", *t[2:]])
+        with pytest.raises(
+            ValueError, match=rf"cut\.pl:{lineno}: record 'c12 nan 2 .*' of cell 'c12' needs finite"
+        ):
+            read_bookshelf(bundle)

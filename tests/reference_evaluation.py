@@ -11,9 +11,15 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from repro.core.config import EvaluationMode
 from repro.core.enumeration import InsertionPoint
-from repro.core.evaluation import EvaluatedPoint, _critical_positions_exact
+from repro.core.evaluation import (
+    EvaluatedPoint,
+    Evaluation,
+    _critical_positions_exact,
+)
 from repro.core.local_region import LocalRegion
 from repro.db.cell import Cell
 
@@ -92,7 +98,12 @@ def evaluate_insertion_point(
     return EvaluatedPoint(point=point, target_x=x, cost=cost)
 
 
-def evaluate_points(region, points, *args, **kwargs) -> list[EvaluatedPoint]:
+def evaluate_points(region, points, *args, **kwargs) -> Evaluation:
     """:func:`evaluate_insertion_point` over one call's points: a drop-in
-    for the batched evaluator, with the same arguments."""
-    return [evaluate_insertion_point(region, p, *args, **kwargs) for p in points]
+    for the batched evaluator, with the same arguments and result type."""
+    evaluated = [evaluate_insertion_point(region, p, *args, **kwargs) for p in points]
+    return Evaluation(
+        points,
+        np.array([ev.target_x for ev in evaluated], dtype=np.float64),
+        np.array([ev.cost for ev in evaluated], dtype=np.float64),
+    )
