@@ -25,9 +25,8 @@ view the interprocedural rules (RL6-RL8) and the effect inference
   ``--json`` exports behind ``repro callgraph``.
 
 Qualified names follow CPython's ``__qualname__`` rules (nested
-functions get ``outer.<locals>.inner``) so the runtime sanitizer
-(:mod:`repro.testing.sanitizer`) can map live stack frames back onto
-static summaries frame-for-frame.
+functions get ``outer.<locals>.inner``), so a finding or an exported
+node names the same function a traceback would.
 """
 
 from __future__ import annotations
@@ -197,8 +196,7 @@ def inside_transaction(node: ast.AST) -> bool:
 def own_nodes(func_node: _FunctionNode) -> Iterator[ast.AST]:
     """Every node of *func_node*'s body, excluding nested ``def``
     subtrees (they link under their own qualified names).  Lambdas and
-    comprehensions stay with their enclosing function, matching how
-    the runtime sanitizer attributes their stack frames."""
+    comprehensions stay with their enclosing function."""
     stack: list[ast.AST] = list(ast.iter_child_nodes(func_node))
     while stack:
         node = stack.pop()

@@ -26,10 +26,8 @@ concurrency-blind.  This module adds the missing vocabulary on top of
   coordinator's "caller holds the lock" helper convention without
   annotations.
 
-RL9-RL11 consume the model; the runtime race tracer
-(:mod:`repro.testing.sanitizer`) checks its live observations against
-the same structures.  :data:`CONCURRENCY_MODEL_VERSION` feeds the
-incremental cache's program key so cached RL9-RL11 results
+RL9-RL11 consume the model.  :data:`CONCURRENCY_MODEL_VERSION` feeds
+the incremental cache's program key so cached RL9-RL11 results
 self-invalidate when the model's semantics change.
 """
 
@@ -434,63 +432,6 @@ class ConcurrencyModel:
                 if callee not in self.async_functions:
                     queue.append(callee)
         return frozenset(seen)
-
-    # ------------------------------------------------------------------
-    # Transaction regions
-    # ------------------------------------------------------------------
-    def await_in_transaction_region(self) -> frozenset[str]:
-        """Async functions whose await points may run with an open
-        ``Transaction``: functions with a direct in-transaction await
-        plus async callees awaited from inside a transaction scope and
-        their transitive async callees.  Feeds the runtime tracer's
-        prediction set — any live await-in-transaction observation must
-        land in one of these frames."""
-        region = {
-            qname
-            for qname, points in self.await_points.items()
-            if any(p.in_transaction for p in points)
-        }
-        queue = [
-            site.callee
-            for site in self.program.graph.sites
-            if site.in_transaction
-            and site.callee is not None
-            and site.callee in self.async_functions
-        ]
-        while queue:
-            cur = queue.pop()
-            if cur in region:
-                continue
-            region.add(cur)
-            for callee in self.program.graph.callees_of(cur):
-                if callee in self.async_functions:
-                    queue.append(callee)
-        return frozenset(region)
-
-    def lock_scope_region(self) -> frozenset[str]:
-        """Functions that may execute while some analyzed lock is held:
-        functions whose bodies open a lock scope, callees of call sites
-        inside one, functions with a non-empty entry lockset, and their
-        transitive callees."""
-        graph = self.program.graph
-        region: set[str] = set()
-        queue: list[str] = []
-        for qname, held in self.entry_locksets.items():
-            if held:
-                queue.append(qname)
-        for site in graph.sites:
-            info = self.program.table.functions.get(site.caller)
-            if self.lexical_lockset(site.node, info):
-                region.add(site.caller)
-                if site.callee is not None:
-                    queue.append(site.callee)
-        while queue:
-            cur = queue.pop()
-            if cur in region:
-                continue
-            region.add(cur)
-            queue.extend(graph.callees_of(cur))
-        return frozenset(region)
 
     # ------------------------------------------------------------------
     # Entry locksets (meet-over-call-sites fixpoint)

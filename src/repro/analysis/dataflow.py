@@ -23,17 +23,15 @@ Unresolved call sites cannot contribute callee summaries, so calls whose
 *name* matches a known journaled primitive (``.place``/``.unplace``/
 ``.shift_x``/``.add_cell``/``.realize_insertion``/``.note_*``) fall back
 to that primitive's declared effects.  The approximation errs on the
-side of *over*-prediction, which is the safe direction for the
-differential sanitizer: the runtime trace must be a subset of the static
-prediction, never the reverse.
+side of *over*-prediction, which is the safe direction for the rules
+that consume it: a missed effect would hide a finding, an extra one
+at worst asks for a justified suppression.
 
-The summaries feed three consumers:
+The summaries feed two consumers:
 
-* RL7 (interprocedural journal coverage) asks "does this chain reach a
-  mutation primitive outside any transaction scope?";
-* ``repro callgraph --effects`` exports them for humans;
-* ``repro.testing.sanitizer`` checks observed runtime effects against
-  the transitive summary of every enclosing stack frame.
+* RL10 asks whether an ``async def`` frame reaches design-mutating
+  work synchronously;
+* ``repro callgraph --effects`` exports them for humans.
 """
 
 from __future__ import annotations
@@ -82,9 +80,9 @@ PRIMITIVE_EFFECTS: dict[str, frozenset[str]] = {
     "realize_insertion": frozenset({MUTATES, JOURNALS}),
 }
 
-#: Ground-truth seeds: the definitions the runtime sanitizer instruments
-#: carry their effects axiomatically, independent of what local
-#: syntactic scanning recovers from their bodies.
+#: Ground-truth seeds: the journaled primitives carry their effects
+#: axiomatically, independent of what local syntactic scanning
+#: recovers from their bodies.
 SEED_EFFECTS: dict[str, frozenset[str]] = {
     "repro.db.journal.Journal._record": frozenset({JOURNALS}),
     "repro.db.journal.Transaction.__enter__": frozenset({TRANSACTION}),

@@ -1,6 +1,7 @@
-"""Render diagnostics as text (human) or JSON (CI / tooling).
+"""Render diagnostics as text (human), JSON (CI / tooling) or GitHub
+Actions annotations.
 
-Both reporters receive the *final* diagnostic list — suppressed
+Every reporter receives the *final* diagnostic list — suppressed
 findings are already gone, RL0 hygiene findings are already appended —
 and a scan summary, so they stay pure functions of their inputs.
 """
@@ -127,90 +128,3 @@ def render_github(
         )
     return "\n".join(lines)
 
-
-#: SARIF spec version emitted by :func:`render_sarif`.
-SARIF_VERSION = "2.1.0"
-_SARIF_SCHEMA = (
-    "https://docs.oasis-open.org/sarif/sarif/v2.1.0/errata01/os/schemas/"
-    "sarif-schema-2.1.0.json"
-)
-
-
-def _sarif_rules() -> list[dict[str, object]]:
-    """Rule metadata for the SARIF driver, registry plus builtins."""
-    from repro.analysis.registry import all_program_rules, all_rules
-
-    catalog: list[tuple[str, str, str]] = [
-        (
-            "RL0",
-            "suppression-hygiene",
-            "suppressions must carry justifications, name known codes, "
-            "and still match a finding",
-        ),
-        (
-            "E999",
-            "parse-error",
-            "the file could not be parsed",
-        ),
-    ]
-    for rule in all_rules():
-        catalog.append((rule.code, rule.name, rule.summary))
-    for prule in all_program_rules():
-        catalog.append((prule.code, prule.name, prule.summary))
-    return [
-        {
-            "id": code,
-            "name": name,
-            "shortDescription": {"text": summary},
-            "defaultConfiguration": {"level": "error"},
-        }
-        for code, name, summary in sorted(catalog)
-    ]
-
-
-def _sarif_result(diag: Diagnostic) -> dict[str, object]:
-    return {
-        "ruleId": diag.code,
-        "level": "error",
-        "message": {"text": diag.message},
-        "locations": [
-            {
-                "physicalLocation": {
-                    "artifactLocation": {
-                        "uri": diag.path.replace("\\", "/"),
-                    },
-                    "region": {
-                        "startLine": diag.line,
-                        # SARIF columns are 1-based; diagnostics are 0-based.
-                        "startColumn": diag.col + 1,
-                    },
-                }
-            }
-        ],
-    }
-
-
-def render_sarif(
-    diagnostics: list[Diagnostic], summary: ScanSummary
-) -> str:
-    """SARIF 2.1.0 document for GitHub code scanning upload."""
-    document = {
-        "$schema": _SARIF_SCHEMA,
-        "version": SARIF_VERSION,
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "repro-lint",
-                        "version": f"{JSON_VERSION}.0.0",
-                        "rules": _sarif_rules(),
-                    }
-                },
-                "results": [
-                    _sarif_result(d) for d in sorted(diagnostics)
-                ],
-                "columnKind": "utf16CodeUnits",
-            }
-        ],
-    }
-    return json.dumps(document, indent=2, sort_keys=False)

@@ -48,7 +48,6 @@ from repro.analysis.reporters import (
     ScanSummary,
     render_github,
     render_json,
-    render_sarif,
     render_text,
 )
 from repro.analysis.suppressions import Suppression, SuppressionTable
@@ -338,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format",
-        choices=["text", "json", "sarif", "github"],
+        choices=["text", "json", "github"],
         default="text",
         help="output format (default: text; 'github' emits GitHub "
         "Actions ::error annotations)",
@@ -431,7 +430,6 @@ def run(argv: Sequence[str] | None = None) -> int:
     renderer = {
         "github": render_github,
         "json": render_json,
-        "sarif": render_sarif,
         "text": render_text,
     }[args.format]
     print(renderer(diagnostics, summary))

@@ -11,7 +11,7 @@ Subcommands::
     repro check     DIR/design.aux [--relaxed]                # verify only
     repro show      DIR/design.aux [--svg out.svg] [--window X Y W H]
     repro stats     DIR/design.aux                            # metrics
-    repro lint      [paths...] [--format text|json|sarif|github]
+    repro lint      [paths...] [--format text|json|github]
                     [--select CODES] [--ignore CODES] [--list-rules]
                     [--interprocedural] [--no-cache]
                     [--cache-file PATH]                       # repro-lint

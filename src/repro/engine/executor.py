@@ -224,14 +224,6 @@ class ShardedLegalizer:
         outcomes = shipped.outcomes
         outcomes.sort(key=lambda o: o.shard_id)
 
-        # Differential sanitizer: worker-side effect events rode home on
-        # the outcomes; merge them into every live parent trace so the
-        # checker sees effects across the process boundary.
-        if any(outcome.sanitizer_events for outcome in outcomes):
-            from repro.testing.sanitizer import absorb_outcomes
-
-            absorb_outcomes(outcomes)
-
         if self.checkpoint is not None:
             self.checkpoint.flush()
 

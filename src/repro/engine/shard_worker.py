@@ -35,11 +35,7 @@ from repro.db.floorplan import Floorplan
 from repro.db.library import Library, Rail
 from repro.db.netlist import Netlist
 from repro.geometry import Rect
-from repro.testing.faults import (
-    ShardFaultSpec,
-    sanitizer_enabled,
-    worker_fault_from_env,
-)
+from repro.testing.faults import ShardFaultSpec, worker_fault_from_env
 
 
 @dataclass(frozen=True, slots=True)
@@ -96,11 +92,6 @@ class ShardOutcome:
     stats: LegalizationResult
     telemetry_records: tuple[MllCallRecord, ...] = ()
     error: str | None = None
-    sanitizer_events: tuple[tuple[str, str, tuple[str, ...]], ...] = ()
-    """Serialized :class:`repro.testing.sanitizer.EffectEvent` records
-    captured inside the worker when ``REPRO_SANITIZE`` is set; empty in
-    normal operation.  The parent absorbs them into its own trace so the
-    differential checker sees effects across the process boundary."""
 
 
 def shard_seed(base_seed: int, shard_id: int) -> int:
@@ -157,23 +148,7 @@ def run_shard(task: ShardTask) -> ShardOutcome:
     unplaced cells are reported in ``unplaced_cell_ids`` and retried by
     the seam reconciler on the full design, where the neighbor context
     the shard lacked is visible.
-
-    When the differential sanitizer is armed (``REPRO_SANITIZE=1``) the
-    shard body runs under a worker-local effect trace whose serialized
-    events ride home on ``ShardOutcome.sanitizer_events``; the
-    sanitizer is imported only then.
     """
-    if not sanitizer_enabled():
-        return _run_shard_impl(task)
-    from repro.testing.sanitizer import Sanitizer
-
-    with Sanitizer() as trace:
-        outcome = _run_shard_impl(task)
-    return replace(outcome, sanitizer_events=trace.serialized())
-
-
-def _run_shard_impl(task: ShardTask) -> ShardOutcome:
-    """The actual shard body; see :func:`run_shard`."""
     # Chaos hook: an armed ShardFaultSpec (from the task, or from the
     # REPRO_WORKER_FAULT environment variable for CLI/CI experiments)
     # fires *before* any work, simulating a worker that dies, wedges or

@@ -338,9 +338,14 @@ def _read_pl(design: Design, path: str) -> None:
                     continue
                 body, _, comment = line.partition("#")
                 parts = body.split()
-                if not parts or parts[0] not in by_name:
+                if not parts:
                     continue
-                cell = by_name[parts[0]]
+                cell = by_name.get(parts[0])
+                if cell is None:
+                    raise ValueError(
+                        f"{path}:{lineno}: record {line!r} names unknown "
+                        f"cell {parts[0]!r}"
+                    )
                 ctoks = comment.split()
                 try:
                     x, y = _finite(parts[1]), _finite(parts[2])
@@ -365,8 +370,9 @@ def _read_pl(design: Design, path: str) -> None:
 
 def _read_nets(design: Design, path: str) -> None:
     by_name = {c.name: c for c in design.cells}
-    current: list[Pin] = []
-    net_name = ""
+    # The open net's (header line, name or None, NetDegree) and pins.
+    header: tuple[int, str | None, int] | None = None
+    pins: list[Pin] = []
     declared: int | None = None
     headers = 0
     with open(path) as f:
@@ -377,28 +383,60 @@ def _read_nets(design: Design, path: str) -> None:
                 continue
             if not line or line.startswith(("#", "UCLA", "NumPins")):
                 continue
-            if line.startswith("NetDegree"):
-                headers += 1
-                if current:
-                    design.netlist.add(Net(name=net_name, pins=tuple(current)))
-                    current = []
-                parts = line.replace(":", " ").split()
-                net_name = parts[-1] if len(parts) >= 3 else f"net{len(design.netlist)}"
-                continue
             parts = line.replace(":", " ").split()
-            if parts and parts[0] in by_name:
+            if line.startswith("NetDegree"):
+                _add_net(design, path, header, pins)
                 try:
-                    dx = _finite(parts[2]) if len(parts) > 2 else 0.0
-                    dy = _finite(parts[3]) if len(parts) > 3 else 0.0
-                except ValueError:
+                    degree = int(parts[1])
+                except (IndexError, ValueError):
                     raise ValueError(
-                        f"{path}:{lineno}: pin record {line!r} needs finite "
-                        f"numeric offsets"
+                        f"{path}:{lineno}: malformed record {line!r}"
                     ) from None
-                pname = parts[4] if len(parts) > 4 else ""
-                current.append(
-                    Pin(cell=by_name[parts[0]], dx=dx, dy=dy, name=pname)
+                header = (lineno, parts[-1] if len(parts) >= 3 else None, degree)
+                pins = []
+                headers += 1
+                continue
+            cell = by_name.get(parts[0])
+            if cell is None:
+                raise ValueError(
+                    f"{path}:{lineno}: pin record {line!r} names unknown "
+                    f"cell {parts[0]!r}"
                 )
-    if current:
-        design.netlist.add(Net(name=net_name, pins=tuple(current)))
+            if header is None:
+                raise ValueError(
+                    f"{path}:{lineno}: pin record {line!r} precedes any "
+                    f"NetDegree header"
+                )
+            try:
+                dx = _finite(parts[2]) if len(parts) > 2 else 0.0
+                dy = _finite(parts[3]) if len(parts) > 3 else 0.0
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{lineno}: pin record {line!r} needs finite "
+                    f"numeric offsets"
+                ) from None
+            pname = parts[4] if len(parts) > 4 else ""
+            pins.append(Pin(cell=cell, dx=dx, dy=dy, name=pname))
+    _add_net(design, path, header, pins)
     _check_count(path, "NumNets", declared, headers, "NetDegree headers")
+
+
+def _add_net(
+    design: Design,
+    path: str,
+    header: tuple[int, str | None, int] | None,
+    pins: list[Pin],
+) -> None:
+    """Add the net *header* opened to the netlist; raise if its pin
+    count differs from its ``NetDegree``.  A net of no pins is dropped."""
+    if header is None:
+        return
+    lineno, name, degree = header
+    net_name = name if name is not None else f"net{len(design.netlist)}"
+    if len(pins) != degree:
+        raise ValueError(
+            f"{path}:{lineno}: net {net_name!r} declares NetDegree "
+            f"{degree} but {len(pins)} pins were read"
+        )
+    if pins:
+        design.netlist.add(Net(name=net_name, pins=tuple(pins)))

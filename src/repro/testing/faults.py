@@ -110,18 +110,6 @@ def count_journaled_mutations(
 #: Environment variable read by :func:`worker_fault_from_env`.
 WORKER_FAULT_ENV = "REPRO_WORKER_FAULT"
 
-#: Environment toggle: ``REPRO_SANITIZE=1`` arms the differential
-#: sanitizer (:mod:`repro.testing.sanitizer`).  Parsed here, beside the
-#: worker fault hook, so a shard attempt can test it without importing
-#: the sanitizer.
-ENV_FLAG = "REPRO_SANITIZE"
-
-
-def sanitizer_enabled(env: str | None = None) -> bool:
-    """Is ``REPRO_SANITIZE`` set (and not ``0``/empty)?"""
-    value = os.environ.get(ENV_FLAG, "") if env is None else env
-    return value not in ("", "0")
-
 
 class WorkerFault(RuntimeError):
     """Raised by the ``raise`` fault mode inside a shard attempt."""

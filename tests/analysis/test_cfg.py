@@ -2,11 +2,10 @@
 
 Deterministic cases pin the structural contracts the flow rules lean
 on — block splitting around compound headers, exception and ``finally``
-routing, dominators over loops with ``break``/``continue``/``else`` —
-and a liveness toy exercises :func:`solve_backward`.  The hypothesis
-sweep generates random (valid) function bodies and checks the global
-invariants: every statement lands in exactly one block, and every edge
-connects blocks that exist.
+routing, and loop wiring with ``break``/``continue``/``else``.  The
+hypothesis sweep generates random (valid) function bodies and checks
+the global invariants: every statement lands in exactly one block, and
+every edge connects blocks that exist.
 """
 
 from __future__ import annotations
@@ -16,15 +15,7 @@ import ast
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.cfg import (
-    EXC,
-    FALSE,
-    TRUE,
-    build_cfg,
-    can_raise,
-    header_walk,
-    solve_backward,
-)
+from repro.analysis.cfg import EXC, FALSE, FLOW, LOOP, TRUE, build_cfg
 
 
 def cfg_of(source: str):
@@ -158,7 +149,7 @@ class TestExceptionEdges:
         assert cfg.raise_exit in succ_bids
 
 
-class TestDominatorsOnLoops:
+class TestLoopWiring:
     SOURCE = (
         "def loop(xs: list[int]) -> int:\n"
         "    total = 0\n"
@@ -173,148 +164,39 @@ class TestDominatorsOnLoops:
         "    return total\n"
     )
 
-    def test_back_edges_all_target_the_loop_header(self):
-        func, cfg = cfg_of(self.SOURCE)
-        loop = func.body[1]
-        header = cfg.block_of_stmt(loop)
-        backs = cfg.back_edges()
-        # Two latches: the ``continue`` and the body fall-through.
-        assert len(backs) == 2
-        assert {dst for _src, dst in backs} == {header}
-
-    def test_header_dominates_the_body_but_not_the_else(self):
+    def test_both_latches_return_to_the_header_on_loop_edges(self):
         func, cfg = cfg_of(self.SOURCE)
         loop = func.body[1]
         assert isinstance(loop, ast.For)
         header = cfg.block_of_stmt(loop)
-        body_last = cfg.block_of_stmt(loop.body[2])
+        cont = loop.body[1].body[0]
+        assert isinstance(cont, ast.Continue)
+        latches = {src for src, kind in cfg.predecessors(header) if kind == LOOP}
+        # Two latches: the ``continue`` and the body fall-through.
+        assert latches == {
+            cfg.block_of_stmt(cont),
+            cfg.block_of_stmt(loop.body[2]),
+        }
+        assert latches <= set(cfg.reachable())
+        # Every ``loop`` edge of the function closes this loop.
+        assert {dst for _s, dst, kind in edges_of(cfg) if kind == LOOP} == {header}
+
+    def test_break_path_bypasses_the_else(self):
+        func, cfg = cfg_of(self.SOURCE)
+        loop = func.body[1]
+        assert isinstance(loop, ast.For)
+        header = cfg.block_of_stmt(loop)
+        brk = loop.body[0].body[0]
+        assert isinstance(brk, ast.Break)
+        brk_bid = cfg.block_of_stmt(brk)
         orelse = cfg.block_of_stmt(loop.orelse[0])
         ret = cfg.block_of_stmt(func.body[2])
-        assert cfg.dominates(header, body_last)
-        assert cfg.dominates(header, orelse)
-        assert cfg.dominates(header, ret)
-        # The break path skips the else, so the else does not
-        # dominate the return.
-        assert not cfg.dominates(orelse, ret)
-        # And no body block dominates the else (the zero-iteration
-        # path bypasses the body entirely).
-        assert not cfg.dominates(body_last, orelse)
-
-    def test_natural_loop_bodies_exclude_else_and_return(self):
-        func, cfg = cfg_of(self.SOURCE)
-        loop = func.body[1]
-        assert isinstance(loop, ast.For)
-        members = frozenset().union(
-            *(body for _h, body in cfg.natural_loops())
-        )
-        assert cfg.block_of_stmt(loop.body[2]) in members
-        assert cfg.block_of_stmt(loop.orelse[0]) not in members
-        assert cfg.block_of_stmt(func.body[2]) not in members
-
-    def test_loop_depth_counts_nesting(self):
-        func, cfg = cfg_of(
-            "def nest(n: int) -> int:\n"
-            "    total = 0\n"
-            "    for i in range(n):\n"
-            "        for j in range(n):\n"
-            "            total = total + j\n"
-            "    return total\n"
-        )
-        outer = func.body[1]
-        assert isinstance(outer, ast.For)
-        inner = outer.body[0]
-        assert isinstance(inner, ast.For)
-        assert cfg.loop_depth(cfg.block_of_stmt(outer)) == 1
-        assert cfg.loop_depth(cfg.block_of_stmt(inner)) == 2
-        assert cfg.loop_depth(cfg.block_of_stmt(func.body[2])) == 0
-
-
-class TestSolveBackwardLiveness:
-    """A tiny liveness analysis over ``solve_backward``."""
-
-    @staticmethod
-    def _live_in(source: str):
-        func, cfg = cfg_of(source)
-
-        def uses_defs(stmt: ast.stmt) -> tuple[set[str], set[str]]:
-            uses: set[str] = set()
-            defs: set[str] = set()
-            for node in header_walk(stmt):
-                if isinstance(node, ast.Name):
-                    if isinstance(node.ctx, ast.Load):
-                        uses.add(node.id)
-                    else:
-                        defs.add(node.id)
-            return uses, defs
-
-        def transfer(bid, flow_meet, exc_meet):
-            live = frozenset(flow_meet)
-            for stmt in reversed(cfg.blocks[bid].statements):
-                uses, defs = uses_defs(stmt)
-                if can_raise(stmt):
-                    live |= exc_meet
-                live = (live - defs) | uses
-            return live
-
-        states = solve_backward(
-            cfg,
-            exit_state=frozenset(),
-            transfer=transfer,
-            meet=lambda a, b: a | b,
-            top=frozenset(),
-        )
-        return func, cfg, states
-
-    def test_straightline_kill_and_gen(self):
-        func, cfg, states = self._live_in(
-            "def f(a: int) -> int:\n"
-            "    x = inp()\n"
-            "    y = x + a\n"
-            "    return y\n"
-        )
-        entry_live = states[cfg.block_of_stmt(func.body[0])]
-        # ``x`` is defined before use; ``a`` flows in from outside.
-        assert "a" in entry_live
-        assert "x" not in entry_live
-        assert "y" not in entry_live
-
-    def test_branch_join_unions_liveness(self):
-        func, cfg, states = self._live_in(
-            "def f(a: int, b: int) -> int:\n"
-            "    x = inp()\n"
-            "    if a:\n"
-            "        y = x + 1\n"
-            "    else:\n"
-            "        y = b\n"
-            "    return y\n"
-        )
-        branch = func.body[1]
-        assert isinstance(branch, ast.If)
-        then_live = states[cfg.block_of_stmt(branch.body[0])]
-        else_live = states[cfg.block_of_stmt(branch.orelse[0])]
-        assert "x" in then_live and "x" not in else_live
-        assert "b" in else_live
-        entry_live = states[cfg.block_of_stmt(func.body[0])]
-        # Before ``x = inp()`` the branch condition and both branch
-        # inputs are live, ``x`` is not.
-        assert {"a", "b"} <= entry_live
-        assert "x" not in entry_live
-
-    def test_loop_keeps_the_accumulator_live(self):
-        func, cfg, states = self._live_in(
-            "def f(xs: list[int]) -> int:\n"
-            "    total = 0\n"
-            "    for x in xs:\n"
-            "        total = total + x\n"
-            "    return total\n"
-        )
-        loop = func.body[1]
-        assert isinstance(loop, ast.For)
-        body_live = states[cfg.block_of_stmt(loop.body[0])]
-        # The accumulator feeds both the next iteration and the
-        # return, so it stays live throughout the body.
-        assert "total" in body_live
-        assert "x" in body_live
+        # The else runs only when the header's test fails ...
+        assert cfg.predecessors(orelse) == [(header, FALSE)]
+        # ... while the break jumps straight to the return.
+        assert cfg.successors(brk_bid) == [(ret, FLOW)]
+        assert {p for p, _ in cfg.predecessors(ret)} == {brk_bid, orelse}
+        assert {orelse, ret} <= set(cfg.reachable())
 
 
 # ----------------------------------------------------------------------
@@ -473,7 +355,7 @@ def test_property_edges_connect_existing_blocks(body):
         for src, kind in cfg.predecessors(bid):
             assert src in cfg.blocks
             assert (bid, kind) in cfg.successors(src)
-    doms = cfg.dominators()
-    for bid in cfg.reachable():
-        assert cfg.entry in doms[bid]
-        assert bid in doms[bid]
+    reachable = cfg.reachable()
+    assert reachable[0] == cfg.entry
+    for bid in reachable[1:]:
+        assert any(src in reachable for src, _ in cfg.predecessors(bid))

@@ -1,27 +1,16 @@
-"""ConcurrencyModel unit tests + runtime race-tracer tests.
+"""ConcurrencyModel unit tests.
 
-The static half builds tiny single-file programs and checks spawn
-classification, await points, lockset inference and the derived
-regions; the runtime half arms :class:`RaceTracer` against a real
-``Design``/``Transaction`` and asserts the detector observes what the
-static model cannot predict for non-repro driver code.
+Each case builds a tiny single-file program and checks spawn
+classification, await points, lockset inference or the derived
+thread context.
 """
 
 from __future__ import annotations
 
-import asyncio
-import threading
 from pathlib import Path
 
 from repro.analysis.callgraph import Program
 from repro.analysis.concurrency import model_for
-from repro.bench import GeneratorConfig, generate_design
-from repro.db.journal import Transaction
-from repro.testing.sanitizer import (
-    RaceTracer,
-    check_race_trace,
-    race_predictions,
-)
 
 
 def program_of(tmp_path: Path, source: str) -> Program:
@@ -134,126 +123,8 @@ class TestLocksets:
         model = model_for(program_of(tmp_path, bare))
         assert "mod._locked_append" not in model.entry_locksets
 
-    def test_lock_scope_region_covers_helper(self, tmp_path):
-        model = model_for(program_of(tmp_path, LOCK_SRC))
-        region = model.lock_scope_region()
-        assert {"mod.add", "mod.add_many", "mod._locked_append"} <= region
-
     def test_lock_attr_harvest(self, tmp_path):
         model = model_for(program_of(tmp_path, SPAWN_SRC))
         assert model.lock_attrs == {
             "mod.Coordinator": frozenset({"_lock"})
         }
-
-
-TXN_SRC = """\
-import asyncio
-
-from repro.db.design import Design
-from repro.db.journal import Transaction
-
-
-async def inner() -> None:
-    await asyncio.sleep(0)
-
-
-async def outer(design: Design) -> None:
-    with Transaction(design):
-        await inner()
-"""
-
-
-class TestTransactionRegion:
-    def test_region_closes_over_async_callees(self, tmp_path):
-        model = model_for(program_of(tmp_path, TXN_SRC))
-        region = model.await_in_transaction_region()
-        assert "mod.outer" in region  # direct in-transaction await
-        assert "mod.inner" in region  # awaited from inside the scope
-
-    def test_clean_async_frame_is_outside_the_region(self, tmp_path):
-        model = model_for(program_of(tmp_path, SPAWN_SRC))
-        assert model.await_in_transaction_region() == frozenset()
-
-
-# ----------------------------------------------------------------------
-# Runtime race tracer
-# ----------------------------------------------------------------------
-def small_design():
-    return generate_design(
-        GeneratorConfig(num_cells=12, target_density=0.4, seed=3)
-    )
-
-
-class TestRaceTracer:
-    def test_sync_transaction_records_no_await_event(self):
-        design = small_design()
-        with RaceTracer() as trace:
-            with Transaction(design):
-                pass
-        assert trace.by_kind("await-in-transaction") == []
-
-    def test_probe_detects_await_inside_transaction(self):
-        design = small_design()
-
-        async def bad() -> None:
-            with Transaction(design):
-                await asyncio.sleep(0)
-
-        with RaceTracer() as trace:
-            asyncio.run(bad())
-        events = trace.by_kind("await-in-transaction")
-        assert len(events) == 1
-        # Driven from non-repro test code: no repro frame can satisfy
-        # the static containment, so the checker must flag it.
-        gaps = check_race_trace(trace)
-        assert any("suspended" in g.reason for g in gaps)
-
-    def test_awaitless_async_transaction_is_quiet(self):
-        design = small_design()
-
-        async def ok() -> None:
-            with Transaction(design):
-                design.place(design.cells[0], 0, 0, validate=False)
-
-        with RaceTracer() as trace:
-            asyncio.run(ok())
-        assert trace.by_kind("await-in-transaction") == []
-        mutations = trace.by_kind("mutation")
-        assert [m.primitive for m in mutations] == ["Design.place"]
-        assert mutations[0].txn_depth == 1
-
-    def test_mutation_under_traced_lock_is_counted_and_flagged(self):
-        design = small_design()
-        with RaceTracer() as trace:
-            lock = threading.Lock()  # created while armed -> traced
-            with lock:
-                with Transaction(design):
-                    design.place(design.cells[0], 0, 0, validate=False)
-        (event,) = trace.by_kind("mutation")
-        assert event.locks == 1
-        assert event.txn_depth == 1
-        reasons = " ".join(g.reason for g in check_race_trace(trace))
-        assert "held threading lock" in reasons
-        assert "transaction-opening frame" in reasons
-
-    def test_lock_count_is_balanced_after_release(self):
-        with RaceTracer():
-            lock = threading.Lock()
-            with lock:
-                pass
-            design = small_design()
-            with RaceTracer() as inner:
-                with Transaction(design):
-                    design.place(design.cells[0], 0, 0, validate=False)
-        (event,) = inner.by_kind("mutation")
-        assert event.locks == 0
-
-    def test_predictions_cover_the_serve_transaction_frames(self):
-        predictions = race_predictions()
-        # The serve stack opens its transactions inside the session
-        # executor; the static model must know those frames, or every
-        # serve-load mutation event would be a false gap.
-        assert any(
-            "serve" in q for q in predictions.txn_opener_frames
-        )
-        assert predictions.await_txn_frames == frozenset()

@@ -1,116 +1,13 @@
-"""Reporter output shapes (text footer, JSON schema, SARIF 2.1.0)."""
+"""Reporter output shapes (text footer, JSON schema, GitHub annotations)."""
 
 import json
 from pathlib import Path
 
 from repro.analysis import lint_paths, render_json, render_text
 from repro.analysis.diagnostics import Diagnostic
-from repro.analysis.reporters import (
-    ScanSummary,
-    counts_by_code,
-    render_github,
-    render_sarif,
-)
+from repro.analysis.reporters import ScanSummary, counts_by_code, render_github
 
 FIXTURES = Path(__file__).parent / "fixtures"
-
-#: Structural subset of the SARIF 2.1.0 schema covering everything the
-#: reporter emits — validated with ``jsonschema`` so shape drift fails
-#: loudly without needing the (networked) full OASIS schema.
-SARIF_SCHEMA = {
-    "type": "object",
-    "required": ["$schema", "version", "runs"],
-    "properties": {
-        "version": {"const": "2.1.0"},
-        "runs": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "object",
-                "required": ["tool", "results"],
-                "properties": {
-                    "tool": {
-                        "type": "object",
-                        "required": ["driver"],
-                        "properties": {
-                            "driver": {
-                                "type": "object",
-                                "required": ["name", "rules"],
-                                "properties": {
-                                    "rules": {
-                                        "type": "array",
-                                        "items": {
-                                            "type": "object",
-                                            "required": [
-                                                "id",
-                                                "name",
-                                                "shortDescription",
-                                            ],
-                                        },
-                                    },
-                                },
-                            },
-                        },
-                    },
-                    "results": {
-                        "type": "array",
-                        "items": {
-                            "type": "object",
-                            "required": [
-                                "ruleId",
-                                "level",
-                                "message",
-                                "locations",
-                            ],
-                            "properties": {
-                                "message": {
-                                    "type": "object",
-                                    "required": ["text"],
-                                },
-                                "locations": {
-                                    "type": "array",
-                                    "minItems": 1,
-                                    "items": {
-                                        "type": "object",
-                                        "required": ["physicalLocation"],
-                                        "properties": {
-                                            "physicalLocation": {
-                                                "type": "object",
-                                                "required": [
-                                                    "artifactLocation",
-                                                    "region",
-                                                ],
-                                                "properties": {
-                                                    "region": {
-                                                        "type": "object",
-                                                        "required": [
-                                                            "startLine",
-                                                            "startColumn",
-                                                        ],
-                                                        "properties": {
-                                                            "startLine": {
-                                                                "type": "integer",
-                                                                "minimum": 1,
-                                                            },
-                                                            "startColumn": {
-                                                                "type": "integer",
-                                                                "minimum": 1,
-                                                            },
-                                                        },
-                                                    },
-                                                },
-                                            },
-                                        },
-                                    },
-                                },
-                            },
-                        },
-                    },
-                },
-            },
-        },
-    },
-}
 
 
 class TestJsonReporter:
@@ -159,43 +56,6 @@ class TestTextReporter:
         counts = counts_by_code(diags)
         assert list(counts) == sorted(counts)
         assert sum(counts.values()) == len(diags)
-
-
-class TestSarifReporter:
-    def test_document_validates_against_schema(self):
-        import jsonschema
-
-        diags, summary = lint_paths([str(FIXTURES / "rl5_positive.py")])
-        doc = json.loads(render_sarif(diags, summary))
-        jsonschema.validate(doc, SARIF_SCHEMA)
-
-    def test_rule_catalog_covers_all_codes(self):
-        diags, summary = lint_paths([str(FIXTURES)])
-        doc = json.loads(render_sarif(diags, summary))
-        rule_ids = {r["id"] for r in doc["runs"][0]["tool"]["driver"]["rules"]}
-        assert {
-            "RL0", "RL1", "RL2", "RL3", "RL4", "RL5",
-            "RL6", "RL7", "RL8", "E999",
-        } <= rule_ids
-        # every emitted result references a cataloged rule
-        for result in doc["runs"][0]["results"]:
-            assert result["ruleId"] in rule_ids
-
-    def test_columns_are_one_based(self):
-        diags, summary = lint_paths([str(FIXTURES / "rl5_positive.py")])
-        doc = json.loads(render_sarif(diags, summary))
-        regions = [
-            loc["physicalLocation"]["region"]
-            for result in doc["runs"][0]["results"]
-            for loc in result["locations"]
-        ]
-        assert regions
-        assert all(r["startColumn"] >= 1 for r in regions)
-
-    def test_clean_run_has_empty_results(self):
-        diags, summary = lint_paths([str(FIXTURES / "rl1_negative.py")])
-        doc = json.loads(render_sarif(diags, summary))
-        assert doc["runs"][0]["results"] == []
 
 
 class TestGithubReporter:

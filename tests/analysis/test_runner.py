@@ -147,20 +147,6 @@ class TestDiscovery:
         assert rc == 1
         assert doc["summary"].get("RL4", 0) >= 2
 
-    def test_sarif_format_round_trips(self, capsys):
-        rc = run(
-            [
-                "--no-cache",
-                "--format",
-                "sarif",
-                str(FIXTURES / "rl4_positive.py"),
-            ]
-        )
-        doc = json.loads(capsys.readouterr().out)
-        assert rc == 1
-        assert doc["version"] == "2.1.0"
-        assert doc["runs"][0]["results"]
-
 
 class TestSelfClean:
     def test_src_tree_is_self_clean(self):

@@ -129,9 +129,10 @@ class TestAccounting:
 
 
 class TestShardWorkerImports:
-    def test_run_shard_leaves_sanitizer_unloaded(self):
-        """With ``REPRO_SANITIZE`` unset, a shard attempt must not pay
-        for importing the sanitizer just to read the flag."""
+    def test_run_shard_loads_no_analysis_module(self):
+        """A shard attempt imports only what legalizing needs: no
+        ``repro.analysis`` module, even with the retired
+        ``REPRO_SANITIZE`` switch still set in the environment."""
         import os
         import subprocess
         import sys
@@ -153,12 +154,12 @@ class TestShardWorkerImports:
                 cells=(ShardCellSpec(0, "c0", 3, 1, None, 2.0, 0.0),),
             )
             assert len(run_shard(task).placements) == 1
-            print("repro.testing.sanitizer" in sys.modules)
+            print(sorted(m for m in sys.modules if m.startswith("repro.analysis")))
         """)
-        env = {k: v for k, v in os.environ.items() if k != "REPRO_SANITIZE"}
+        env = dict(os.environ, REPRO_SANITIZE="1")
         env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
         proc = subprocess.run(
             [sys.executable, "-c", script],
             capture_output=True, text=True, check=True, env=env,
         )
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "[]"

@@ -305,3 +305,25 @@ class TestDamagedRecords:
             ValueError, match=rf"cut\.pl:{lineno}: record 'c12 nan 2 .*' of cell 'c12' needs finite"
         ):
             read_bookshelf(bundle)
+
+    def test_pl_record_names_unknown_cell(self, bundle):
+        # Skipping it would leave c12 unplaced at GP (0, 0).
+        lineno = self._damage(bundle, "pl", "c12", lambda t: ["ghost12", *t[1:]])
+        with pytest.raises(
+            ValueError, match=rf"cut\.pl:{lineno}: record 'ghost12 12 2 .*' names unknown cell 'ghost12'"
+        ):
+            read_bookshelf(bundle)
+
+    def test_nets_pin_names_unknown_cell(self, bundle):
+        lineno = self._damage(bundle, "nets", "c12", lambda t: ["ghost12", *t[1:]])
+        with pytest.raises(
+            ValueError, match=rf"cut\.nets:{lineno}: pin record 'ghost12 B : .*' names unknown cell 'ghost12'"
+        ):
+            read_bookshelf(bundle)
+
+    def test_nets_degree_disagrees_with_pins(self, bundle):
+        lineno = self._damage_line(bundle, "nets", "NetDegree", lambda t: [*t[:2], "6", *t[3:]])
+        with pytest.raises(
+            ValueError, match=rf"cut\.nets:{lineno}: net 'n0' declares NetDegree 6 but 5 pins were read"
+        ):
+            read_bookshelf(bundle)

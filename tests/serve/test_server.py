@@ -9,6 +9,7 @@ The two acceptance-critical properties live here:
   and a quarantined session never takes its neighbors down.
 """
 
+import asyncio
 import json
 import logging
 import socket
@@ -354,3 +355,32 @@ class TestAdmissionAndShutdown:
             assert client.result("shutdown")["shutting_down"] is True
         handle._thread.join(timeout=30)
         assert not handle._thread.is_alive()
+
+    def test_stop_with_idle_connections_logs_no_cancelled_error(
+        self, caplog
+    ):
+        """Stopping the server cancels handlers blocked in ``readline``;
+        each must finish as an orderly disconnect.  A handler that ends
+        cancelled makes the streams callback log a ``CancelledError``
+        traceback through the ``asyncio`` logger."""
+        handle = ServerHandle(ServeConfig()).start()
+        idle = [
+            socket.create_connection(("127.0.0.1", handle.port), timeout=30)
+            for _ in range(2)
+        ]
+        try:
+            # A served ping on a third connection shows the loop has
+            # accepted the two idle ones queued before it.
+            with handle.client() as client:
+                assert client.result("ping")["protocol"] == 1
+            with caplog.at_level(logging.DEBUG, logger="asyncio"):
+                handle.stop()
+        finally:
+            for sock in idle:
+                sock.close()
+        cancelled = [
+            record.getMessage()
+            for record in caplog.records
+            if record.exc_info and record.exc_info[0] is asyncio.CancelledError
+        ]
+        assert cancelled == []
