@@ -47,23 +47,30 @@ import signal
 import sys
 import time
 
-from repro.bench import GeneratorConfig, generate_design
+# Module level holds only what every command reads or builds; each
+# command imports the rest, so `repro stats` loads neither numpy nor the
+# engine.  benchmarks/e2e/layers.py wraps only functions of modules that
+# `import repro.cli` loaded, and the engine only once `repro.engine` is
+# loaded: these imports keep both true.
 from repro.checker import displacement_stats, hpwl_stats, verify_placement
-from repro.core import (
-    EvaluationMode,
-    LegalizationError,
-    Legalizer,
-    LegalizerConfig,
-)
+from repro.core.config import EvaluationMode, LegalizerConfig
+from repro.engine.config import EngineConfig
 from repro.io import read_bookshelf, read_lefdef, write_bookshelf, write_lefdef
 
 
 def _load(path: str):
-    """Read a design from a .aux (Bookshelf) or .def (LEF/DEF) path."""
-    if path.endswith(".def"):
-        lef = path[: -len(".def")] + ".lef"
-        return read_lefdef(lef, path)
-    return read_bookshelf(path)
+    """Read a design from a .aux (Bookshelf) or .def (LEF/DEF) path.
+
+    A missing file or a reader error ends the command with one
+    ``repro: error: ...`` line and exit status 2."""
+    try:
+        if path.endswith(".def"):
+            lef = path[: -len(".def")] + ".lef"
+            return read_lefdef(lef, path)
+        return read_bookshelf(path)
+    except (OSError, ValueError) as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def _save(design, out_dir: str, fmt: str, name: str | None = None) -> str:
@@ -74,6 +81,8 @@ def _save(design, out_dir: str, fmt: str, name: str | None = None) -> str:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from repro.bench.generator import GeneratorConfig, generate_design
+
     design = generate_design(
         GeneratorConfig(
             num_cells=args.cells,
@@ -149,8 +158,6 @@ def _make_engine_config(args: argparse.Namespace):
     algorithm)."""
     if not (args.algorithm == "mll" and (args.workers != 1 or args.shards)):
         return None
-    from repro.engine import EngineConfig
-
     bind_host, bind_port = _parse_hostport(args.bind)
     return EngineConfig(
         workers=args.workers,
@@ -173,7 +180,7 @@ def _make_checkpoint_manager(args: argparse.Namespace):
     """Build the CheckpointManager implied by --checkpoint/--resume."""
     if not (args.checkpoint or args.resume):
         return None
-    from repro.engine import CheckpointManager
+    from repro.engine.checkpoint import CheckpointManager
 
     if args.resume:
         if args.checkpoint and args.checkpoint != args.resume:
@@ -224,6 +231,8 @@ def _parse_hostport(value: str, default_host: str = "127.0.0.1") -> tuple[str, i
 
 
 def _cmd_legalize(args: argparse.Namespace) -> int:
+    from repro.core.legalizer import LegalizationError, Legalizer
+
     # Option values are validated by the config constructors; build them
     # before reading the design so a bad value fails fast, as a usage
     # error.
@@ -240,11 +249,11 @@ def _cmd_legalize(args: argparse.Namespace) -> int:
     previous_handlers = _install_signal_handlers()
     try:
         if engine_config is not None:
-            from repro.engine import legalize_sharded
+            from repro.engine.executor import legalize_sharded
 
             transport = None
             if args.transport == "tcp":
-                from repro.engine import TcpTransport
+                from repro.engine.remote import TcpTransport
 
                 transport = TcpTransport(engine_config)
                 print(
@@ -466,7 +475,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_worker(args: argparse.Namespace) -> int:
-    from repro.engine import WorkerConfig, run_worker
+    from repro.engine.remote import WorkerConfig, run_worker
 
     host, port = _parse_hostport(args.connect)
     return run_worker(

@@ -155,6 +155,9 @@ def read_bookshelf(aux_path: str) -> Design:
     for token in files.split():
         ext = token.rsplit(".", 1)[-1]
         file_map[ext] = os.path.join(directory, token)
+    for kind in ("scl", "nodes", "pl"):
+        if kind not in file_map:
+            raise ValueError(f"{aux_path}:1: names no .{kind} file")
     name = os.path.basename(aux_path).rsplit(".", 1)[0]
 
     floorplan = _read_scl(file_map["scl"])

@@ -186,7 +186,12 @@ def _write_def(design: Design, path: str, name: str) -> None:
 def read_lefdef(lef_path: str, def_path: str) -> Design:
     """Read a LEF/DEF pair written by :func:`write_lefdef`.
 
-    Accepts the documented subset; statements outside it are skipped.
+    Accepts the documented subset; statements outside it are skipped,
+    and so are ``( PIN name )`` net terminals (I/O pins).  A component
+    naming a macro the LEF lacks, a net terminal naming an unknown
+    component, a section without its ``END`` and a ``COMPONENTS n ;`` or
+    ``NETS n ;`` count the records disagree with raise ``ValueError``
+    naming ``<def path>:<line>``.
     """
     library, site = _read_lef(lef_path)
     return _read_def(def_path, library, site)
@@ -243,6 +248,39 @@ def _read_lef(path: str) -> tuple[Library, tuple[float, float]]:
     return library, site
 
 
+def _line(text: str, offset: int) -> int:
+    """The 1-based line of *text* that holds *offset*."""
+    return text.count("\n", 0, offset) + 1
+
+
+def _section(path: str, text: str, keyword: str) -> tuple[int, int, str] | None:
+    """``(declared count, offset, body)`` of *text*'s ``KEYWORD n ;`` ...
+    ``END KEYWORD`` section, or ``None`` without one.  A section that
+    never ends is a cut-short file: ``ValueError``."""
+    head = re.search(rf"^[ \t]*{keyword}\s+(\d+)\s*;", text, re.M)
+    if head is None:
+        return None
+    end = re.compile(rf"^[ \t]*END\s+{keyword}\b", re.M).search(text, head.end())
+    if end is None:
+        raise ValueError(
+            f"{path}:{_line(text, head.start())}: {keyword} section has no "
+            f"END {keyword}"
+        )
+    return int(head.group(1)), head.end(), text[head.end() : end.start()]
+
+
+def _check_declared(
+    path: str, text: str, keyword: str, section: tuple[int, int, str], read: int
+) -> None:
+    """Reject a section whose records disagree with its declared count."""
+    declared, offset, _ = section
+    if read != declared:
+        raise ValueError(
+            f"{path}:{_line(text, offset)}: {keyword} declares {declared} "
+            f"records but {read} were read"
+        )
+
+
 def _read_def(
     path: str, library: Library, site: tuple[float, float]
 ) -> Design:
@@ -261,6 +299,14 @@ def _read_def(
 
     name_m = re.search(r"DESIGN\s+(\S+)\s*;", text)
     design_name = name_m.group(1) if name_m else "design"
+    sections = {
+        keyword: _section(path, text, keyword)
+        for keyword in ("BLOCKAGES", "REGIONS", "GROUPS", "COMPONENTS", "NETS")
+    }
+    if name_m and not re.search(r"^[ \t]*END\s+DESIGN\b", text, re.M):
+        raise ValueError(
+            f"{path}:{_line(text, name_m.start())}: DESIGN has no END DESIGN"
+        )
 
     # Rows.
     rows = []
@@ -283,11 +329,11 @@ def _read_def(
 
     # Blockages.
     blockages = []
-    blk_section = re.search(r"BLOCKAGES.*?END\s+BLOCKAGES", text, re.S)
+    blk_section = sections["BLOCKAGES"]
     if blk_section:
         for bm in re.finditer(
             r"RECT\s*\(\s*(\d+)\s+(\d+)\s*\)\s*\(\s*(\d+)\s+(\d+)\s*\)",
-            blk_section.group(0),
+            blk_section[2],
         ):
             x = round(sites_x(bm.group(1)))
             y = round(rows_y(bm.group(2)))
@@ -298,12 +344,12 @@ def _read_def(
     # Fence regions.
     fences: list[FenceRegion] = []
     fence_names: dict[str, int] = {}
-    reg_section = re.search(r"REGIONS.*?END\s+REGIONS", text, re.S)
+    reg_section = sections["REGIONS"]
     if reg_section:
         for fm in re.finditer(
             r"-\s+(\S+)((?:\s*\(\s*\d+\s+\d+\s*\)\s*\(\s*\d+\s+\d+\s*\))+)"
             r"\s*\+\s*TYPE\s+FENCE",
-            reg_section.group(0),
+            reg_section[2],
         ):
             fname = fm.group(1)
             rects = []
@@ -333,11 +379,11 @@ def _read_def(
 
     # Group membership: component name -> region id.
     member_region: dict[str, int] = {}
-    grp_section = re.search(r"GROUPS.*?END\s+GROUPS", text, re.S)
+    grp_section = sections["GROUPS"]
     if grp_section:
         for gm in re.finditer(
             r"-\s+\S+\s+(.*?)\+\s*REGION\s+(\S+)\s*;",
-            grp_section.group(0),
+            grp_section[2],
             re.S,
         ):
             fid = fence_names.get(gm.group(2))
@@ -347,17 +393,17 @@ def _read_def(
                 member_region[comp] = fid
 
     # Components.
-    comp_section = re.search(r"COMPONENTS.*?END\s+COMPONENTS", text, re.S)
+    comp_section = sections["COMPONENTS"]
     placements: list[tuple] = []
     if comp_section:
-        for cm in re.finditer(
-            r"-\s+(\S+)\s+(\S+)\s*(.*?);",
-            comp_section.group(0),
-            re.S,
-        ):
+        _, start, records = comp_section
+        for cm in re.finditer(r"-\s+(\S+)\s+(\S+)\s*(.*?);", records, re.S):
             cname, mname, body = cm.group(1), cm.group(2), cm.group(3)
             if mname not in library:
-                continue
+                raise ValueError(
+                    f"{path}:{_line(text, start + cm.start())}: component "
+                    f"{cname!r} names macro {mname!r}, which the LEF lacks"
+                )
             master = library[mname]
             fixed = "+ FIXED" in body
             gp = re.search(r'PROPERTY\s+gp\s+"([-\d.e]+)\s+([-\d.e]+)"', body)
@@ -378,22 +424,29 @@ def _read_def(
             if gp:
                 cell.gp_x = float(gp.group(1))
                 cell.gp_y = float(gp.group(2))
+        _check_declared(path, text, "COMPONENTS", comp_section, len(design.cells))
         for cell, x, y in placements:
             design.place(cell, x, y, validate=False)
 
     # Nets.
     by_name = {c.name: c for c in design.cells}
-    nets_section = re.search(r"\nNETS.*?END\s+NETS", text, re.S)
+    nets_section = sections["NETS"]
     if nets_section:
+        _, start, records = nets_section
         for nm in re.finditer(
-            r"-\s+(\S+)((?:\s*\(\s*\S+\s+\S+\s*\))+)\s*;",
-            nets_section.group(0),
+            r"-\s+(\S+)((?:\s*\(\s*\S+\s+\S+\s*\))+)\s*;", records
         ):
             pins = []
             for tm in re.finditer(r"\(\s*(\S+)\s+(\S+)\s*\)", nm.group(2)):
+                if tm.group(1) == "PIN":
+                    continue  # an I/O pin, not a component terminal
                 cell = by_name.get(tm.group(1))
                 if cell is None:
-                    continue
+                    line = _line(text, start + nm.start(2) + tm.start())
+                    raise ValueError(
+                        f"{path}:{line}: net {nm.group(1)!r} names unknown "
+                        f"component {tm.group(1)!r}"
+                    )
                 offset = next(
                     (
                         p
@@ -414,4 +467,5 @@ def _read_def(
                 else:
                     pins.append(Pin(cell=cell, name=tm.group(2)))
             design.netlist.add(Net(name=nm.group(1), pins=tuple(pins)))
+        _check_declared(path, text, "NETS", nets_section, len(design.netlist))
     return design

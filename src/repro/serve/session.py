@@ -370,12 +370,9 @@ class DesignSession:
         shards: int | None,
         progress: ProgressFn | None,
     ) -> dict[str, object]:
-        from repro.engine import (
-            CheckpointManager,
-            CheckpointState,
-            EngineConfig,
-            legalize_sharded,
-        )
+        from repro.engine.checkpoint import CheckpointManager, CheckpointState
+        from repro.engine.config import EngineConfig
+        from repro.engine.executor import legalize_sharded
 
         manager: CheckpointManager | None = None
         ckpt_path: str | None = None

@@ -4,7 +4,8 @@ import pytest
 
 from repro.checker import verify_placement
 from repro.core import LegalizationResult, LegalizerConfig
-from repro.engine import ReconcileError, ShardOutcome, apply_shard_outcomes, reconcile
+from repro.engine import ReconcileError, ShardOutcome, apply_shard_outcomes
+from repro.engine.reconcile import reconcile
 from tests.conftest import add_unplaced, make_design
 
 

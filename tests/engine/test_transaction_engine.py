@@ -14,12 +14,8 @@ import random
 import pytest
 
 from repro.core import LegalizationError, LegalizationResult, LegalizerConfig
-from repro.engine import (
-    EngineConfig,
-    ShardOutcome,
-    legalize_sharded,
-    reconcile,
-)
+from repro.engine import EngineConfig, ShardOutcome, legalize_sharded
+from repro.engine.reconcile import reconcile
 from repro.testing.faults import (
     FaultInjector,
     InjectedFault,

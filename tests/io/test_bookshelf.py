@@ -327,3 +327,15 @@ class TestDamagedRecords:
             ValueError, match=rf"cut\.nets:{lineno}: net 'n0' declares NetDegree 6 but 5 pins were read"
         ):
             read_bookshelf(bundle)
+
+
+class TestIncompleteAux:
+    @pytest.mark.parametrize("kind", ["scl", "nodes", "pl"])
+    def test_aux_without_a_file_kind_names_it(self, tmp_path, kind):
+        design = generate_design(GeneratorConfig(num_cells=20, seed=3, name="aux"))
+        aux = write_bookshelf(design, str(tmp_path))
+        tokens = [t for t in open(aux).read().split() if not t.endswith(f".{kind}")]
+        with open(aux, "w") as f:
+            f.write(" ".join(tokens) + "\n")
+        with pytest.raises(ValueError, match=rf"aux\.aux:1: names no \.{kind} file"):
+            read_bookshelf(aux)

@@ -1,6 +1,7 @@
 """Unit tests for the LEF/DEF-lite reader/writer."""
 
 import os
+import re
 
 import pytest
 
@@ -123,3 +124,110 @@ class TestFiles:
         _, def_ = write_lefdef(d, str(tmp_path))
         text = open(def_).read()
         assert "( 600 3420 )" in text  # x=3 sites, y=2 rows
+
+
+class TestDamagedInput:
+    """A DEF record naming something unknown, or a cut-short DEF, raises
+    a ``ValueError`` naming ``<def path>:<line>``; nothing is dropped."""
+
+    @pytest.fixture
+    def pair(self, tmp_path):
+        design = generate_design(GeneratorConfig(num_cells=50, seed=3, name="cut"))
+        legalize(design, LegalizerConfig(seed=3))
+        return write_lefdef(design, str(tmp_path))
+
+    @staticmethod
+    def _edit(path, edit):
+        with open(path) as f:
+            text = f.read()
+        with open(path, "w") as f:
+            f.write(edit(text))
+
+    @staticmethod
+    def _line_of(path, pattern):
+        with open(path) as f:
+            text = f.read()
+        return text.count("\n", 0, re.search(pattern, text, re.M).start()) + 1
+
+    def test_full_pair_loads_every_record(self, pair):
+        design = read_lefdef(*pair)
+        assert len(design.cells) == 50
+        assert len(design.netlist) == 55
+
+    def test_component_with_unknown_macro(self, pair):
+        # Skipping it would load 49 of the 50 cells.
+        lef, def_ = pair
+        self._edit(def_, lambda text: re.sub(r"- c42 \S+", "- c42 ghost", text))
+        lineno = self._line_of(def_, r"- c42 ghost")
+        with pytest.raises(
+            ValueError,
+            match=rf"cut\.def:{lineno}: component 'c42' names macro 'ghost', "
+            "which the LEF lacks",
+        ):
+            read_lefdef(lef, def_)
+
+    def test_empty_lef(self, pair):
+        # Every component's macro is unknown: the pair must not load as
+        # an empty design.
+        lef, def_ = pair
+        self._edit(lef, lambda text: "")
+        lineno = self._line_of(def_, r"^  - c\d+ ")
+        with pytest.raises(ValueError, match=rf"cut\.def:{lineno}: component 'c\d+' names macro"):
+            read_lefdef(lef, def_)
+
+    def test_net_terminal_names_unknown_component(self, pair):
+        # Skipping it would load the net one pin short.
+        lef, def_ = pair
+        self._edit(def_, lambda text: text.replace("( c12 o )", "( ghost12 o )", 1))
+        lineno = self._line_of(def_, r"\( ghost12 o \)")
+        with pytest.raises(
+            ValueError,
+            match=rf"cut\.def:{lineno}: net 'n16' names unknown component 'ghost12'",
+        ):
+            read_lefdef(lef, def_)
+
+    def test_io_pin_terminals_are_skipped(self, pair):
+        lef, def_ = pair
+        pins = [len(net.pins) for net in read_lefdef(lef, def_).netlist]
+        self._edit(def_, lambda text: text.replace("( c12 o )", "( c12 o ) ( PIN io0 )", 1))
+        assert [len(net.pins) for net in read_lefdef(lef, def_).netlist] == pins
+
+    def test_def_cut_in_half(self, pair):
+        # Cut inside a section, the DEF used to load with 0 cells.
+        lef, def_ = pair
+        self._edit(def_, lambda text: text[: len(text) // 2])
+        with open(def_) as f:
+            section = re.findall(r"^(COMPONENTS|NETS) \d+ ;", f.read(), re.M)[-1]
+        lineno = self._line_of(def_, rf"^{section} \d+ ;")
+        with pytest.raises(
+            ValueError,
+            match=rf"cut\.def:{lineno}: {section} section has no END {section}",
+        ):
+            read_lefdef(lef, def_)
+
+    def test_def_cut_after_components(self, pair):
+        lef, def_ = pair
+        self._edit(def_, lambda text: text[: text.index("END COMPONENTS") + 15])
+        lineno = self._line_of(def_, r"^DESIGN ")
+        with pytest.raises(ValueError, match=rf"cut\.def:{lineno}: DESIGN has no END DESIGN"):
+            read_lefdef(lef, def_)
+
+    def test_components_count_disagrees(self, pair):
+        lef, def_ = pair
+        self._edit(def_, lambda text: re.sub(r"  - c42 .*?;\n", "", text, flags=re.S))
+        lineno = self._line_of(def_, r"^COMPONENTS 50 ;")
+        with pytest.raises(
+            ValueError,
+            match=rf"cut\.def:{lineno}: COMPONENTS declares 50 records but 49 were read",
+        ):
+            read_lefdef(lef, def_)
+
+    def test_nets_count_disagrees(self, pair):
+        lef, def_ = pair
+        self._edit(def_, lambda text: re.sub(r"  - n16 .*\n", "", text))
+        lineno = self._line_of(def_, r"^NETS 55 ;")
+        with pytest.raises(
+            ValueError,
+            match=rf"cut\.def:{lineno}: NETS declares 55 records but 54 were read",
+        ):
+            read_lefdef(lef, def_)

@@ -1,6 +1,7 @@
 """Unit tests for the command-line interface."""
 
 import os
+import re
 import subprocess
 import sys
 
@@ -82,20 +83,107 @@ class TestLegalize:
         capsys.readouterr()
 
 
+def _fresh(code, *args):
+    """Run *code* with *args* in a fresh interpreter on this source tree;
+    the last line it printed."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    return proc.stdout.splitlines()[-1]
+
+
+#: Runs ``repro`` with ``argv[2:]``, then prints which of the
+#: comma-separated modules in ``argv[1]`` it loaded.
+_LOADED_BY_COMMAND = """
+import sys
+from repro.cli import main
+main(sys.argv[2:])
+print(",".join(m for m in sys.argv[1].split(",") if m in sys.modules))
+"""
+
+#: Checks that each of ``repro``, ``repro.core`` and ``repro.engine``
+#: exports exactly the names its ``if TYPE_CHECKING:`` block imports,
+#: each resolving to its defining module's object and listed by dir().
+_SURFACES = """
+import ast, importlib
+for name in ("repro", "repro.core", "repro.engine"):
+    package = importlib.import_module(name)
+    with open(package.__file__) as f:
+        tree = ast.parse(f.read())
+    typed = {}
+    for node in tree.body:
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            for imp in node.body:
+                typed.update((a.asname or a.name, imp.module) for a in imp.names)
+    assert sorted(typed) == package.__all__, name
+    for attr, module in typed.items():
+        value = getattr(package, attr)
+        assert value is getattr(importlib.import_module(module), attr), attr
+        assert value.__module__ == module, attr
+        assert attr in dir(package), attr
+star = {}
+exec("from repro.core import *", star)
+print(sorted(set(star) - {"__builtins__"}) == sorted(importlib.import_module("repro.core").__all__))
+"""
+
+
 class TestStartup:
     def test_import_leaves_scipy_unloaded(self):
         # Only --algorithm optimal|milp|abacus|tetris needs the
         # baselines, and through them scipy; no other run should pay
         # for importing it.
-        src = os.path.dirname(os.path.dirname(repro.__file__))
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys, repro.cli; print('scipy' in sys.modules)"],
-            capture_output=True,
-            text=True,
-            check=True,
-            env=dict(os.environ, PYTHONPATH=src),
+        assert _fresh("import sys, repro.cli; print('scipy' in sys.modules)") == "False"
+
+    def test_stats_loads_no_numpy_engine_or_tooling(self, generated):
+        unwanted = (
+            "numpy", "repro.core.legalizer", "repro.engine.executor",
+            "repro.bench", "repro.testing", "repro.serve", "repro.analysis",
         )
-        assert proc.stdout.strip() == "False"
+        argv = ["stats", str(generated)]
+        assert _fresh(_LOADED_BY_COMMAND, ",".join(unwanted), *argv) == ""
+
+    def test_serial_legalize_loads_no_engine_or_tooling(self, generated, tmp_path):
+        unwanted = (
+            "repro.engine.executor", "repro.bench", "repro.testing",
+            "repro.serve", "repro.analysis", "scipy",
+        )
+        argv = ["legalize", str(generated), "--out", str(tmp_path / "out")]
+        assert _fresh(_LOADED_BY_COMMAND, ",".join(unwanted), *argv) == ""
+
+    def test_import_loads_what_the_traced_launcher_wraps(self):
+        # benchmarks/e2e/layers.py wraps only functions of modules that
+        # `import repro.cli` loaded, and the engine only when
+        # repro.engine is loaded: without these, a traced run loses
+        # io.read_s, checker.* and every engine span.
+        wrapped = (
+            "repro.engine", "repro.io.bookshelf",
+            "repro.checker.legality", "repro.checker.metrics",
+        )
+        code = "import sys, repro.cli; print(all(m in sys.modules for m in sys.argv[1:]))"
+        assert _fresh(code, *wrapped) == "True"
+
+    def test_package_surfaces_resolve_every_export(self):
+        assert _fresh(_SURFACES) == "True"
+
+    @pytest.mark.parametrize("first", ["", "import repro.engine.executor"])
+    def test_engine_reconcile_is_the_submodule_whatever_loads_first(self, first):
+        # repro.engine.reconcile names a submodule and the function in
+        # it.  Python rebinds the package attribute to the submodule
+        # whenever that loads, so the package exports only that meaning.
+        code = (
+            f"{first}\n"
+            "import sys\n"
+            "from repro.engine import reconcile\n"
+            "from repro.engine.reconcile import reconcile as function\n"
+            "print(reconcile is sys.modules['repro.engine.reconcile']"
+            " and function is reconcile.reconcile and callable(function))"
+        )
+        assert _fresh(code) == "True"
 
     def test_legalize_help_has_no_kernel_switch(self, capsys):
         with pytest.raises(SystemExit):
@@ -343,3 +431,46 @@ class TestGracefulShutdown:
         assert "interrupted by SIGTERM: 0/2 shards checkpointed" in out
         assert f"--resume {path}" in out
         assert load_checkpoint(str(path)).completed == {}
+
+
+class TestInputErrors:
+    """A missing input or a reader error ends the command with one
+    ``repro: error:`` line and exit status 2, not a traceback or a
+    verdict on a partly read design."""
+
+    @pytest.fixture
+    def cut_def(self, tmp_path):
+        rc = main(["generate", "--cells", "200", "--seed", "3", "--name", "cut",
+                   "--format", "lefdef", "--out", str(tmp_path)])
+        assert rc == 0
+        path = tmp_path / "cut.def"
+        text = path.read_text()
+        path.write_text(text[: len(text) // 2])
+        return path
+
+    @staticmethod
+    def _error_line(argv, capsys):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ") and err.count("\n") == 1, err
+        return err
+
+    @pytest.mark.parametrize("command", ["check", "stats", "legalize", "show"])
+    def test_missing_input_file(self, tmp_path, capsys, command):
+        err = self._error_line([command, str(tmp_path / "absent.aux")], capsys)
+        assert "absent.aux" in err
+
+    @pytest.mark.parametrize("command", ["check", "stats", "legalize", "show"])
+    def test_cut_short_def(self, cut_def, capsys, command):
+        # At half its length the DEF stops inside a section; it used to
+        # load with 0 cells, and `check` printed `legal`.
+        err = self._error_line([command, str(cut_def)], capsys)
+        assert re.search(r"cut\.def:\d+: (\w+) section has no END \1", err), err
+
+    def test_aux_without_scl(self, generated, capsys):
+        generated.write_text(generated.read_text().replace("clitest.scl", ""))
+        err = self._error_line(["check", str(generated)], capsys)
+        assert "clitest.aux:1: names no .scl file" in err
