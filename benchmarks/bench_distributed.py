@@ -13,7 +13,7 @@ retransmitting a result — and gates on the transport's whole contract:
   measures nothing.
 
 The schedule is deterministic, not a race: a doomed worker (armed with
-``kill,shard=0``) is the only worker alive for the first steal, so the
+``crash,shard=0``) is the only worker alive for the first steal, so the
 mid-shard death always happens; its relief worker (armed with
 ``dup,shard=1``) is spawned only after the corpse is reaped, so the
 requeue and the duplicate delivery always happen too.
@@ -54,7 +54,7 @@ from repro.engine import (
     legalize_sharded,
     spawn_worker_process,
 )
-from repro.testing import NetFaultSpec, design_state_digest
+from repro.testing import ShardFaultSpec, design_state_digest
 
 DEFAULT_CELLS = 5000
 
@@ -93,22 +93,22 @@ def run_chaos(
     )
     transport = TcpTransport(engine)
 
-    def worker(name: str, fault: NetFaultSpec | None):
+    def worker(name: str, fault: ShardFaultSpec | None):
         return spawn_worker_process(
             WorkerConfig(
                 host=transport.host, port=transport.port, name=name,
                 connect_retries=10, connect_backoff_s=0.05,
-                netfault=fault,
+                fault=fault,
             )
         )
 
-    doomed = worker("doomed", NetFaultSpec(shard_id=0, mode="kill"))
+    doomed = worker("doomed", ShardFaultSpec(shard_id=0, mode="crash"))
     relief_holder: list[object] = []
 
     def send_relief() -> None:
         doomed.join(timeout=60)
         relief_holder.append(
-            worker("relief", NetFaultSpec(shard_id=1, mode="dup"))
+            worker("relief", ShardFaultSpec(shard_id=1, mode="dup"))
         )
 
     spawner = threading.Thread(target=send_relief, daemon=True)
@@ -157,7 +157,7 @@ def main(argv: list[str] | None = None) -> int:
 
     params = {
         "cells": args.cells, "shards": args.shards, "seed": args.seed,
-        "schedule": "kill(shard=0) then relief with dup(shard=1)",
+        "schedule": "crash(shard=0) then relief with dup(shard=1)",
     }
     metrics = run_chaos(args.cells, args.shards, args.seed)
     print(json.dumps({"params": params, "metrics": metrics}, indent=2))
@@ -173,7 +173,7 @@ def main(argv: list[str] | None = None) -> int:
     if metrics["quarantined_cells"]:
         failures.append(f"{metrics['quarantined_cells']} cells quarantined")
     if int(str(metrics["crashes"])) < 1:
-        failures.append("kill fault never fired (crashes=0)")
+        failures.append("crash fault never fired (crashes=0)")
     if int(str(metrics["duplicate_results"])) < 1:
         failures.append("dup fault never fired (duplicate_results=0)")
     for failure in failures:

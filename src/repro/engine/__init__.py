@@ -6,8 +6,9 @@ position (paper Section 3) — so MLL calls whose windows do not overlap
 commute.  This package exploits that: it tiles the floorplan into
 vertical-stripe *shards* with a halo (:mod:`repro.engine.partition`),
 legalizes every shard with the unmodified sequential legalizer in
-supervised worker processes (:mod:`repro.engine.shard_worker`,
-:mod:`repro.engine.supervisor`, :mod:`repro.engine.executor`), and
+worker processes served by one shard queue
+(:mod:`repro.engine.shard_worker`, :mod:`repro.engine.supervisor`,
+:mod:`repro.engine.executor`), and
 merges the per-shard deltas back, resolving the (rare) cross-seam
 conflicts with one final sequential MLL pass
 (:mod:`repro.engine.reconcile`).
@@ -18,8 +19,8 @@ bit-reproducible for a fixed seed and shard count.  See
 ``docs/parallel_engine.md`` for the halo-correctness argument.
 
 The names below resolve on first use (:mod:`repro._lazy`), so importing
-:mod:`repro.engine.config` does not load the executor, the supervisor
-or the TCP transport.  ``repro.engine.reconcile`` is the submodule; the
+:mod:`repro.engine.config` does not load the executor, the shard
+queue or the TCP transport.  ``repro.engine.reconcile`` is the submodule; the
 function of that name is ``repro.engine.reconcile.reconcile``.
 """
 
@@ -60,7 +61,7 @@ if TYPE_CHECKING:
     from repro.engine.shard_worker import run_shard as run_shard
     from repro.engine.shard_worker import shard_seed as shard_seed
     from repro.engine.supervisor import ShardAttempt as ShardAttempt
-    from repro.engine.supervisor import ShardSupervisor as ShardSupervisor
+    from repro.engine.supervisor import ShardQueue as ShardQueue
     from repro.engine.supervisor import SupervisionReport as SupervisionReport
     from repro.engine.supervisor import backoff_delay_s as backoff_delay_s
     from repro.engine.transport import LocalTransport as LocalTransport
@@ -101,7 +102,7 @@ lazy_exports(globals(), {
     "run_shard": "repro.engine.shard_worker",
     "shard_seed": "repro.engine.shard_worker",
     "ShardAttempt": "repro.engine.supervisor",
-    "ShardSupervisor": "repro.engine.supervisor",
+    "ShardQueue": "repro.engine.supervisor",
     "SupervisionReport": "repro.engine.supervisor",
     "backoff_delay_s": "repro.engine.supervisor",
     "LocalTransport": "repro.engine.transport",

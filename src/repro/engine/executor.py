@@ -7,8 +7,8 @@
    (:mod:`repro.engine.partition`);
 2. legalize every shard with the unmodified sequential legalizer,
    dispatched through a :class:`~repro.engine.transport.ShardTransport`
-   — the local pool under the :class:`~repro.engine.supervisor.
-   ShardSupervisor` (``workers > 1``: per-shard timeouts, crash
+   — worker processes serving a :class:`~repro.engine.supervisor.
+   ShardQueue` (``workers > 1``: per-shard timeouts, crash
    containment, bounded retry with backoff, the degradation ladder),
    in-process (``workers=1``, still exercising the sharded path when
    ``shards > 1``), or remote ``repro worker`` hosts over TCP

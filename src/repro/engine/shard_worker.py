@@ -73,7 +73,7 @@ class ShardTask:
     cells: tuple[ShardCellSpec, ...]
     collect_telemetry: bool = False
     attempt: int = 1
-    """1-based attempt number under the supervisor; a retried shard
+    """1-based attempt number in the shard queue; a retried shard
     gets a fresh task with the *same* seed and a bumped attempt, so any
     successful attempt yields byte-identical deltas."""
     fault: "ShardFaultSpec | None" = None
@@ -141,21 +141,28 @@ def build_shard_design(task: ShardTask) -> tuple[Design, list[Cell]]:
     return design, cells
 
 
-def run_shard(task: ShardTask) -> ShardOutcome:
+def run_shard(
+    task: ShardTask,
+    in_worker: bool = False,
+    fault: ShardFaultSpec | None = None,
+) -> ShardOutcome:
     """Legalize one shard (module-level: picklable for worker pools).
 
-    A shard that exhausts its retry budget does *not* raise: its
-    unplaced cells are reported in ``unplaced_cell_ids`` and retried by
-    the seam reconciler on the full design, where the neighbor context
-    the shard lacked is visible.
+    *in_worker* is true in a pool child or a ``repro worker``, never in
+    the process that owns the design; *fault* is a ``repro worker``'s
+    own chaos hook.  A shard that exhausts its retry budget does *not*
+    raise: its unplaced cells are reported in ``unplaced_cell_ids`` and
+    retried by the seam reconciler on the full design, where the
+    neighbor context the shard lacked is visible.
     """
-    # Chaos hook: an armed ShardFaultSpec (from the task, or from the
-    # REPRO_WORKER_FAULT environment variable for CLI/CI experiments)
-    # fires *before* any work, simulating a worker that dies, wedges or
-    # throws.  A disarmed attempt (attempt > spec.attempts) runs clean.
-    fault = task.fault if task.fault is not None else worker_fault_from_env()
+    # Chaos hook: an armed ShardFaultSpec (the task's, else the
+    # worker's, else the REPRO_WORKER_FAULT environment variable's for
+    # CLI/CI experiments) fires *before* any work, simulating a worker
+    # that dies, wedges or throws.  A disarmed attempt (attempt >
+    # spec.attempts) runs clean.
+    fault = task.fault or fault or worker_fault_from_env()
     if fault is not None and fault.armed_for(task.shard_id, task.attempt):
-        fault.trip(task.shard_id, task.attempt)
+        fault.trip(task.shard_id, task.attempt, in_worker)
 
     design, cells = build_shard_design(task)
     config = replace(task.config, seed=task.seed)

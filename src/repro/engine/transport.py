@@ -8,14 +8,14 @@ deltas back — but *how the tasks reach a CPU* is a
 
 ``LocalTransport``
     the in-host paths: serial in-process for ``workers=1``, otherwise
-    the :class:`~repro.engine.supervisor.ShardSupervisor` (timeouts,
-    crash containment, retry, the degradation ladder).  The default.
+    worker processes serving a :class:`~repro.engine.supervisor.
+    ShardQueue` (timeouts, crash containment, retry, the degradation
+    ladder).  The default.
 
 ``TcpTransport`` (:mod:`repro.engine.remote`)
-    a coordinator serving a work-stealing shard queue to ``repro
-    worker`` processes on other hosts over NDJSON framing, with
-    per-shard leases, heartbeat renewal, duplicate-result dedupe, and
-    graceful drain.
+    a coordinator serving the same queue to ``repro worker`` processes
+    on other hosts over NDJSON framing, with heartbeat-renewed leases,
+    duplicate-result dedupe, and graceful drain.
 
 The transport contract is deliberately narrow — ``execute(tasks)`` →
 outcomes + a supervision report — and deterministic by construction:
@@ -33,7 +33,12 @@ from typing import Callable
 
 from repro.engine.config import EngineConfig
 from repro.engine.shard_worker import ShardOutcome, ShardTask, run_shard
-from repro.engine.supervisor import ShardSupervisor, SupervisionReport
+from repro.engine.supervisor import (
+    ShardQueue,
+    SupervisionReport,
+    run_inprocess,
+    run_pool,
+)
 
 #: Type of the per-outcome delivery hook (the checkpoint layer).
 OutcomeHook = Callable[[ShardOutcome], None]
@@ -95,7 +100,8 @@ class ShardTransport(ABC):
 
 class LocalTransport(ShardTransport):
     """The in-host transport: ``workers <= 1`` runs shards serially
-    in-process, anything more runs them under the supervisor."""
+    in-process, anything more serves a :class:`ShardQueue` to that many
+    worker processes."""
 
     name = "local"
 
@@ -113,17 +119,10 @@ class LocalTransport(ShardTransport):
         if workers <= 1:
             outcomes = self._run_inprocess(tasks, on_outcome, completed)
             return TransportResult(outcomes=outcomes, workers=1)
-        supervisor = ShardSupervisor(
-            tasks,
-            self.engine,
-            workers=workers,
-            on_outcome=on_outcome,
-            completed=completed,
-        )
-        outcomes, report = supervisor.run()
-        return TransportResult(
-            outcomes=outcomes, supervision=report, workers=workers
-        )
+        queue = ShardQueue(tasks, self.engine, on_outcome, completed)
+        run_pool(queue, workers)
+        run_inprocess(queue)
+        return TransportResult(queue.outcomes(), queue.report, workers)
 
     # ------------------------------------------------------------------
     @staticmethod

@@ -39,6 +39,7 @@ from repro.db.floorplan import Floorplan
 from repro.db.library import CellMaster, Library, PinOffset, Rail
 from repro.db.netlist import Net, Netlist, Pin
 from repro.geometry import Rect
+from repro.io.bookshelf import _finite
 
 DBU_PER_MICRON = 1000
 
@@ -308,13 +309,24 @@ def _read_def(
             f"{path}:{_line(text, name_m.start())}: DESIGN has no END DESIGN"
         )
 
-    # Rows.
+    # Rows: every ROW statement loads, or the file is refused.
     rows = []
-    first_rail = Rail.GND
-    for rm in re.finditer(
-        r"ROW\s+\S+\s+\S+\s+(\d+)\s+(\d+)\s+(\w+)\s+DO\s+(\d+)\s+BY\s+1",
-        text,
-    ):
+    for statement in re.finditer(r"^[ \t]*ROW\s[^;]*", text, re.M):
+        rm = re.fullmatch(
+            r"\s*ROW\s+\S+\s+\S+\s+(\d+)\s+(\d+)\s+(\w+)\s+DO\s+(\d+)"
+            r"\s+BY\s+(\d+)(?:\s+STEP\s+\d+\s+\d+)?\s*",
+            statement.group(),
+        )
+        if rm is None or rm.group(5) != "1":
+            reason = (
+                "malformed ROW statement"
+                if rm is None
+                else f"ROW ... BY {rm.group(5)} is not supported "
+                f"(one row per ROW statement)"
+            )
+            raise ValueError(
+                f"{path}:{_line(text, statement.start())}: {reason}"
+            )
         x0 = round(sites_x(rm.group(1)))
         y = round(rows_y(rm.group(2)))
         rail = Rail.GND if rm.group(3) == "N" else Rail.VDD
@@ -406,7 +418,7 @@ def _read_def(
                 )
             master = library[mname]
             fixed = "+ FIXED" in body
-            gp = re.search(r'PROPERTY\s+gp\s+"([-\d.e]+)\s+([-\d.e]+)"', body)
+            gp = re.search(r'PROPERTY\s+gp\b\s*(?:"([^"]*)")?', body)
             cell = design.add_cell(
                 master,
                 name=cname,
@@ -421,9 +433,17 @@ def _read_def(
                 y = round(rows_y(placed.group(2)))
                 placements.append((cell, x, y))
                 cell.gp_x, cell.gp_y = float(x), float(y)
-            if gp:
-                cell.gp_x = float(gp.group(1))
-                cell.gp_y = float(gp.group(2))
+            if gp:  # exactly two finite numbers
+                try:
+                    gp_x, gp_y = (gp.group(1) or "").split()
+                    cell.gp_x, cell.gp_y = _finite(gp_x), _finite(gp_y)
+                except ValueError:
+                    line = _line(text, start + cm.start(3) + gp.start())
+                    raise ValueError(
+                        f"{path}:{line}: component {cname!r} has gp "
+                        f"property {gp.group(1)!r}; expected two finite "
+                        f"numbers"
+                    ) from None
         _check_declared(path, text, "COMPONENTS", comp_section, len(design.cells))
         for cell, x, y in placements:
             design.place(cell, x, y, validate=False)

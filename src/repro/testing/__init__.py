@@ -20,11 +20,8 @@ from repro.testing.faults import (
     fault_sweep,
     worker_fault_from_env,
 )
-from repro.testing.netfaults import NetFaultSpec, netfault_from_env
 
 __all__ = [
-    "NetFaultSpec",
-    "netfault_from_env",
     "FaultInjector",
     "FaultSweepReport",
     "InjectedFault",

@@ -19,7 +19,6 @@ fault armed there, asserting state restoration each time.
 from __future__ import annotations
 
 import hashlib
-import multiprocessing
 import operator
 import os
 import time
@@ -105,7 +104,7 @@ def count_journaled_mutations(
 
 
 # ----------------------------------------------------------------------
-# Worker-process fault modes (the engine supervisor's chaos monkey)
+# Worker fault modes (the engine's chaos monkey)
 # ----------------------------------------------------------------------
 #: Environment variable read by :func:`worker_fault_from_env`.
 WORKER_FAULT_ENV = "REPRO_WORKER_FAULT"
@@ -127,26 +126,37 @@ class ShardFaultSpec:
     """A deliberate worker failure, armed per shard and per attempt.
 
     Where :class:`FaultInjector` crashes *mutations* to test the
-    journal, this spec crashes *workers* to test the engine supervisor
-    (:mod:`repro.engine.supervisor`).  It travels inside the pickled
-    :class:`~repro.engine.shard_worker.ShardTask`, so it fires in the
-    worker process itself — the supervisor sees exactly what a real
-    OOM kill / hang / bug would produce.
-
-    Modes:
+    journal, this spec breaks *workers* to test the engine's shard
+    queue (:mod:`repro.engine.supervisor`).  It travels inside the
+    pickled :class:`~repro.engine.shard_worker.ShardTask` (or arms a
+    ``repro worker`` through ``WorkerConfig.fault`` or
+    ``REPRO_WORKER_FAULT``), so it fires in the worker itself — the
+    queue sees exactly what a real OOM kill / hang / bug / network
+    fault would produce.  Each mode fires at one point:
 
     ``crash``
-        ``os._exit(exitcode)`` — the process vanishes without a result,
-        like an OOM kill.  Fires only inside a worker process (it would
-        take the test runner down otherwise).
+        ``os._exit(exitcode)`` when ``run_shard`` starts — the process
+        vanishes without a result, like an OOM kill; a TCP worker's
+        connection drops with its lease in flight.
     ``hang``
-        ``time.sleep(sleep_s)`` — simulates a wedged worker so the
-        per-shard timeout can be exercised.  Worker-process only.
+        ``time.sleep(sleep_s)`` when ``run_shard`` starts — a wedged
+        worker, for the pool's ``shard_timeout_s``; a TCP worker also
+        stops heartbeating, so its lease expires and its late result
+        arrives as a zombie.
     ``raise``
-        raise :class:`WorkerFault` — an unexpected exception in the
-        shard flow.  Fires in *any* process (including the in-process
-        escalation rung), which is how tests drive the supervisor all
-        the way down to the whole-design serial fallback.
+        raise :class:`WorkerFault` when ``run_shard`` starts — an
+        unexpected exception in the shard flow.
+    ``drop``
+        a TCP worker computes the shard, then resets its connection
+        instead of delivering the result (a yanked cable).
+    ``dup``
+        a TCP worker delivers its result twice (a retransmit).
+
+    ``crash`` and ``hang`` fire only in a worker — a pool child or a
+    ``repro worker`` — never in the process that owns the design, which
+    they would take down.  ``raise`` fires everywhere, the in-process
+    rung included, which is how tests drive the ladder all the way down
+    to the whole-design serial fallback.
 
     ``attempts`` bounds the blast radius: the fault fires while the
     task's attempt number is ``<= attempts``, so ``attempts=1`` means
@@ -161,44 +171,45 @@ class ShardFaultSpec:
     exitcode: int = 13
 
     def __post_init__(self) -> None:
-        if self.mode not in ("crash", "hang", "raise"):
+        if self.mode not in ("crash", "hang", "raise", "drop", "dup"):
             raise ValueError(f"unknown worker fault mode {self.mode!r}")
         if self.attempts < 0:
             raise ValueError("attempts must be >= 0")
+        if self.sleep_s < 0:
+            raise ValueError("sleep_s must be >= 0")
 
     # ------------------------------------------------------------------
     def armed_for(self, shard_id: int, attempt: int) -> bool:
         """Does this fault fire for *shard_id*'s *attempt*-th try?"""
         return shard_id == self.shard_id and attempt <= self.attempts
 
-    def trip(self, shard_id: int, attempt: int) -> None:
-        """Fire the fault (call only when :meth:`armed_for` is true).
+    def trip(self, shard_id: int, attempt: int, in_worker: bool) -> None:
+        """Fire a ``crash``, ``hang`` or ``raise`` fault as ``run_shard``
+        starts (call only when :meth:`armed_for` is true).
 
-        ``crash`` and ``hang`` are no-ops outside a worker process:
-        both would otherwise destroy (or stall) the supervising process
-        the tests run in.  ``raise`` always fires — the in-process
-        escalation rung must be crashable too.
+        ``crash`` and ``hang`` are no-ops unless *in_worker*; the
+        delivery modes act in the TCP worker, not here.
         """
-        in_worker = multiprocessing.parent_process() is not None
-        if self.mode == "crash":
-            if in_worker:
-                os._exit(self.exitcode)
-        elif self.mode == "hang":
-            if in_worker:
-                time.sleep(self.sleep_s)
-        else:  # raise
+        if self.mode == "raise":
             raise WorkerFault(shard_id, attempt)
+        if not in_worker:
+            return
+        if self.mode == "crash":
+            os._exit(self.exitcode)
+        elif self.mode == "hang":
+            time.sleep(self.sleep_s)
 
 
 def worker_fault_from_env(env: str | None = None) -> ShardFaultSpec | None:
     """Parse a :class:`ShardFaultSpec` from ``REPRO_WORKER_FAULT``.
 
     Format: ``mode,shard=ID[,attempts=N][,sleep=S][,exitcode=E]``, e.g.
-    ``crash,shard=0,attempts=1``.  Lets the CLI / CI chaos smoke inject
-    worker kills into a real ``repro legalize --workers N`` run without
-    any code hook.  Returns ``None`` when the variable is unset/empty;
-    raises :class:`ValueError` on a malformed value (a chaos experiment
-    that silently does not run is worse than one that fails loudly).
+    ``crash,shard=0,attempts=1``.  Lets the CLI / CI chaos smokes break
+    the workers of a real ``repro legalize --workers N`` run, or a
+    ``repro worker``, without any code hook.  Returns ``None`` when the
+    variable is unset/empty; raises :class:`ValueError` on a malformed
+    value (a chaos experiment that silently does not run is worse than
+    one that fails loudly).
     """
     raw = os.environ.get(WORKER_FAULT_ENV, "") if env is None else env
     raw = raw.strip()

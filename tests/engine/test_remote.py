@@ -5,8 +5,8 @@ The contract under test is the distributed twin of the supervisor's:
 deliveries yields a final placement byte-identical to a fault-free
 serial run — remote execution decides only where a shard runs, never
 what it computes.  Faults are injected with
-:mod:`repro.testing.netfaults`; workers run as real child processes
-speaking the real NDJSON wire over localhost.
+:class:`repro.testing.ShardFaultSpec`; workers run as real child
+processes speaking the real NDJSON wire over localhost.
 """
 
 import threading
@@ -25,7 +25,8 @@ from repro.engine import (
     legalize_sharded,
     spawn_worker_process,
 )
-from repro.engine.remote import _connect, lease_id
+from repro.engine.remote import _connect
+from repro.engine.supervisor import lease_attempt, lease_id
 from repro.engine.wire import (
     decode_message,
     encode_message,
@@ -35,7 +36,11 @@ from repro.engine.wire import (
     pack_payload,
     unpack_payload,
 )
-from repro.testing import NetFaultSpec, design_state_digest, netfault_from_env
+from repro.testing import (
+    ShardFaultSpec,
+    design_state_digest,
+    worker_fault_from_env,
+)
 
 GEN = GeneratorConfig(num_cells=700, target_density=0.5, seed=9)
 CFG = LegalizerConfig(seed=1)
@@ -64,7 +69,7 @@ def worker_cfg(transport, name, fault=None):
         name=name,
         connect_retries=5,
         connect_backoff_s=0.05,
-        netfault=fault,
+        fault=fault,
     )
 
 
@@ -121,7 +126,7 @@ class TestWireCodec:
             decode_message(b'{"shard": 1}\n')
 
     def test_payload_roundtrip(self):
-        spec = NetFaultSpec(shard_id=3, mode="stall", sleep_s=0.25)
+        spec = ShardFaultSpec(shard_id=3, mode="hang", sleep_s=0.25)
         assert unpack_payload(pack_payload(spec)) == spec
 
     def test_unpack_rejects_garbage(self):
@@ -146,11 +151,9 @@ class TestWireCodec:
             message_int(message, "missing")
 
     def test_lease_id_roundtrip(self):
-        from repro.engine.remote import _lease_attempt
-
         assert lease_id(3, 2) == "s3a2"
-        assert _lease_attempt(lease_id(3, 2)) == 2
-        assert _lease_attempt("garbage") == 0
+        assert lease_attempt(lease_id(3, 2)) == 2
+        assert lease_attempt("garbage") == 0
 
 
 # ----------------------------------------------------------------------
@@ -199,36 +202,40 @@ class TestConnectCleanup:
 
 
 # ----------------------------------------------------------------------
-# Chaos spec parsing (mirrors REPRO_WORKER_FAULT)
+# The network side of the one worker-fault spec (REPRO_WORKER_FAULT)
 # ----------------------------------------------------------------------
 class TestNetFaultParsing:
     def test_env_roundtrip(self):
-        spec = netfault_from_env("stall,shard=2,attempts=3,sleep=0.5")
-        assert spec == NetFaultSpec(
-            shard_id=2, mode="stall", attempts=3, sleep_s=0.5
+        spec = worker_fault_from_env("hang,shard=2,attempts=3,sleep=0.5")
+        assert spec == ShardFaultSpec(
+            shard_id=2, mode="hang", attempts=3, sleep_s=0.5
         )
-        assert netfault_from_env("") is None
-        kill = netfault_from_env("kill,shard=0,exitcode=7")
-        assert kill.mode == "kill" and kill.exitcode == 7
+        assert worker_fault_from_env("") is None
+        dup = worker_fault_from_env("dup,shard=0,exitcode=7")
+        assert dup.mode == "dup" and dup.exitcode == 7
 
     def test_env_rejects_malformed(self):
         with pytest.raises(ValueError):
-            netfault_from_env("drop")  # no shard
+            worker_fault_from_env("drop")  # no shard
         with pytest.raises(ValueError):
-            netfault_from_env("drop,shard=0,bogus=1")
+            worker_fault_from_env("drop,shard=0,bogus=1")
         with pytest.raises(ValueError):
-            netfault_from_env("meltdown,shard=0")
+            worker_fault_from_env("meltdown,shard=0")
+        with pytest.raises(ValueError):
+            worker_fault_from_env("kill,shard=0")  # now spelled crash
 
     def test_armed_bounds(self):
-        spec = NetFaultSpec(shard_id=1, mode="dup", attempts=2)
+        spec = ShardFaultSpec(shard_id=1, mode="dup", attempts=2)
         assert spec.armed_for(1, 1) and spec.armed_for(1, 2)
         assert not spec.armed_for(1, 3)
         assert not spec.armed_for(0, 1)
 
     def test_kill_is_inert_outside_a_child_process(self):
-        # Guarded exactly like ShardFaultSpec: firing it here, in the
-        # test runner itself, must be a no-op.
-        NetFaultSpec(shard_id=0, mode="kill").kill_now()
+        # crash and hang fire only in a worker: tripped here, in the
+        # process that runs the tests, they must be no-ops.
+        ShardFaultSpec(shard_id=0, mode="crash").trip(0, 1, in_worker=False)
+        ShardFaultSpec(shard_id=0, mode="hang").trip(0, 1, in_worker=False)
+        ShardFaultSpec(shard_id=0, mode="drop").trip(0, 1, in_worker=True)
 
 
 # ----------------------------------------------------------------------
@@ -262,7 +269,7 @@ class TestChaosRecovery:
         design = fresh_design()
         result = run_remote(
             remote_engine(),
-            [NetFaultSpec(shard_id=0, mode="drop", attempts=1)],
+            [ShardFaultSpec(shard_id=0, mode="drop", attempts=1)],
             design,
         )
         report = result.supervision
@@ -281,7 +288,7 @@ class TestChaosRecovery:
         design = fresh_design()
         result = run_remote(
             remote_engine(),
-            [NetFaultSpec(shard_id=0, mode="stall", attempts=1, sleep_s=2.0)],
+            [ShardFaultSpec(shard_id=0, mode="hang", attempts=1, sleep_s=2.0)],
             design,
         )
         report = result.supervision
@@ -297,7 +304,7 @@ class TestChaosRecovery:
         design = fresh_design()
         result = run_remote(
             remote_engine(),
-            [NetFaultSpec(shard_id=1, mode="dup", attempts=1)],
+            [ShardFaultSpec(shard_id=1, mode="dup", attempts=1)],
             design,
         )
         report = result.supervision
@@ -316,7 +323,7 @@ class TestChaosRecovery:
         doomed = spawn_worker_process(
             worker_cfg(
                 transport, "doomed",
-                NetFaultSpec(shard_id=0, mode="kill", attempts=1),
+                ShardFaultSpec(shard_id=0, mode="crash", attempts=1),
             )
         )
         relief = []
@@ -351,7 +358,7 @@ class TestChaosRecovery:
         design = fresh_design()
         result = run_remote(
             remote_engine(worker_wait_s=0.5),
-            [NetFaultSpec(shard_id=0, mode="kill", attempts=1)],
+            [ShardFaultSpec(shard_id=0, mode="crash", attempts=1)],
             design,
         )
         report = result.supervision
@@ -367,6 +374,32 @@ class TestChaosRecovery:
 # Fallback policy
 # ----------------------------------------------------------------------
 class TestFallbackPolicy:
+    def test_remote_and_pool_attempts_share_one_budget(self, reference):
+        """A shard has one attempt count and one retry budget, wherever
+        its attempts ran: a crash on the TCP worker and one in the pool
+        spend ``max_shard_retries=1``, so attempt 3 runs in-process."""
+        engine = remote_engine(worker_wait_s=0.5, max_shard_retries=1)
+        transport = TcpTransport(engine)
+        worker = spawn_worker_process(worker_cfg(transport, "w0"))
+        design = fresh_design()
+        try:
+            result = legalize_sharded(
+                design, CFG, engine, transport=transport,
+                fault=ShardFaultSpec(shard_id=0, mode="crash", attempts=2),
+            )
+        finally:
+            worker.join(timeout=30)
+        shard0 = [
+            (a.attempt, a.rung, a.status)
+            for a in result.supervision.attempts
+            if a.shard_id == 0
+        ]
+        assert shard0 == [
+            (1, "remote", "crash"), (2, "pool", "crash"),
+            (3, "inprocess", "ok"),
+        ]
+        assert_identical(design, reference)
+
     def test_no_worker_degrades_to_local(self, reference):
         design = fresh_design()
         result = run_remote(

@@ -340,14 +340,13 @@ class TestSpawnCleanup:
         ``process.start()``, the just-started child must be terminated
         and joined instead of orphaned."""
         from dataclasses import dataclass as _dataclass
-        from types import SimpleNamespace
 
-        from repro.engine.supervisor import ShardSupervisor
+        from repro.engine.supervisor import _spawn
 
         @_dataclass
         class FakeTask:
             shard_id: int = 0
-            attempt: int = 0
+            attempt: int = 1
 
         class FakeProcess:
             def __init__(self):
@@ -377,12 +376,8 @@ class TestSpawnCleanup:
             def Process(self, **kwargs):
                 return proc
 
-        fake = SimpleNamespace(
-            _ctx=FakeCtx(),
-            engine=SimpleNamespace(shard_timeout_s=None),
-        )
         with pytest.raises(OSError, match="pipe close failed"):
-            ShardSupervisor._spawn(fake, FakeTask(), attempt=1)
+            _spawn(FakeCtx(), FakeTask())
         assert proc.started
         assert proc.terminated
         assert proc.joined

@@ -222,6 +222,43 @@ class TestDamagedInput:
         ):
             read_lefdef(lef, def_)
 
+    def test_row_with_garbled_coordinate(self, pair):
+        # Skipping it would load 7 of the 8 rows.
+        lef, def_ = pair
+        self._edit(def_, lambda text: text.replace("core 0 3420 N", "core 0 34x0 N", 1))
+        lineno = self._line_of(def_, r"^ROW row_2 ")
+        with pytest.raises(ValueError, match=rf"cut\.def:{lineno}: malformed ROW statement"):
+            read_lefdef(lef, def_)
+
+    def test_row_spanning_several_rows(self, pair):
+        # This reader holds one row per ROW statement: BY 2 must not load.
+        lef, def_ = pair
+        self._edit(def_, lambda text: re.sub(r"(ROW row_3 .*?) BY 1", r"\1 BY 2", text))
+        lineno = self._line_of(def_, r"^ROW row_3 ")
+        with pytest.raises(ValueError, match=rf"cut\.def:{lineno}: ROW \.\.\. BY 2 is not supported"):
+            read_lefdef(lef, def_)
+
+    @pytest.mark.parametrize("value", ["inf 2", "nan 1"])
+    def test_gp_property_not_finite(self, pair, value):
+        # It used to load with the GP left at (0, 0).
+        lef, def_ = pair
+        self._edit(def_, lambda text: re.sub(r'(- c7 .*?PROPERTY gp )"[^"]*"', rf'\1"{value}"', text, flags=re.S))
+        lineno = self._line_of(def_, rf'PROPERTY gp "{value}"')
+        with pytest.raises(
+            ValueError,
+            match=rf"cut\.def:{lineno}: component 'c7' has gp property '{value}'; "
+            "expected two finite numbers",
+        ):
+            read_lefdef(lef, def_)
+
+    def test_gp_property_malformed_number(self, pair):
+        # It used to raise a bare float() error naming no file.
+        lef, def_ = pair
+        self._edit(def_, lambda text: re.sub(r'(- c7 .*?PROPERTY gp )"[^"]*"', r'\1"1.2.3 4"', text, flags=re.S))
+        lineno = self._line_of(def_, r'PROPERTY gp "1\.2\.3 4"')
+        with pytest.raises(ValueError, match=rf"cut\.def:{lineno}: component 'c7' has gp property"):
+            read_lefdef(lef, def_)
+
     def test_nets_count_disagrees(self, pair):
         lef, def_ = pair
         self._edit(def_, lambda text: re.sub(r"  - n16 .*\n", "", text))

@@ -2,6 +2,7 @@
 
 import asyncio
 import threading
+import time
 
 import pytest
 
@@ -12,12 +13,20 @@ from repro.serve.protocol import Request
 from repro.serve.server import LegalizationServer
 
 
-async def _settle(queue: JobQueue, rounds: int = 20) -> None:
-    """Yield the loop until every idle worker has retired."""
-    for _ in range(rounds):
-        if not queue._workers and not queue._queues:
-            return
-        await asyncio.sleep(0)
+async def _settle(queue: JobQueue, timeout_s: float = 5.0) -> bool:
+    """Yield the loop until every idle worker has retired; return
+    whether that happened within *timeout_s* of wall-clock time.
+
+    Jobs run in ``asyncio.to_thread``, so retirement waits on real
+    threads: a fixed count of loop turns can run out on a slow host.
+    """
+    deadline = time.monotonic() + timeout_s
+    while queue._workers or queue._queues:
+        now = time.monotonic()
+        if now >= deadline:
+            return False
+        await asyncio.sleep(0.001)
+    return True
 
 
 class TestWorkerRetirement:
@@ -128,7 +137,7 @@ class TestRetirementSubmitRace:
                     n += 1
                 # Let the worker drain fully so it retires between
                 # bursts (the churn being exercised).
-                await _settle(queue, rounds=200)
+                assert await _settle(queue), "the worker did not retire"
             results = await asyncio.gather(*futures)
             assert [r["n"] for r in results] == list(range(n))
             assert order == list(range(n))
