@@ -11,9 +11,9 @@ contract the unit suite also pins:
   the only thing that makes `repro lint` cheap enough to sit in
   pre-commit, so its speedup is a gated perf artifact, not a hope.
 
-The **flow-sensitive pass** (RL12 taint + RL13 typestate, the rules
-that build CFGs and run the interprocedural taint fixpoint) is
-additionally timed on its own cache: it is the most
+The **flow-sensitive pass** (RL13 typestate, the rule that builds
+CFGs and runs the dataflow solver) is additionally timed on its own
+cache: it is the most
 expensive analysis layer, so its warm/cold ratio is gated separately
 at the same >= 5x — a cache-key bug that silently re-runs only the
 flow rules would hide inside the full-run ratio otherwise.
@@ -47,8 +47,8 @@ from repro.analysis.runner import lint_paths
 
 MIN_SPEEDUP = 5.0
 
-#: The flow-sensitive layer: CFG construction + interprocedural taint.
-FLOW_RULES = ("RL12", "RL13")
+#: The flow-sensitive layer: CFG construction + resource typestate.
+FLOW_RULES = ("RL13",)
 
 
 def run_bench(target: str) -> dict[str, object]:
@@ -143,7 +143,7 @@ def main(argv: list[str] | None = None) -> int:
         failures.append("warm file count differs from cold file count")
     if metrics["flow_findings"]:
         failures.append(
-            "flow-sensitive pass (RL12-RL13) is not self-clean: "
+            "flow-sensitive pass (RL13) is not self-clean: "
             f"{metrics['flow_findings']} finding(s)"
         )
     if metrics["speedup"] < MIN_SPEEDUP:

@@ -11,8 +11,8 @@ handle is closed on every path".  This module adds the missing layer:
   ``raise``, ``assert`` or ``await`` may transfer control to the
   innermost handler, the pending ``finally``, or the synthetic
   exceptional exit).
-* a generic forward worklist dataflow solver the flow rules (RL12
-  taint, RL13 typestate) instantiate.
+* a generic forward worklist dataflow solver the flow rule (RL13
+  typestate) instantiates.
 
 Precision notes, chosen deliberately:
 
@@ -20,7 +20,7 @@ Precision notes, chosen deliberately:
   their out-edges are the union of the continuations actually routed
   into them (``normal``/``exc``/``return``/``break``/``continue``), so
   a path that *merges* through a ``finally`` may mix continuations.
-  May-analyses (leak, taint) stay sound: every real path exists.
+  May-analyses (leaks) stay sound: every real path exists.
 * A ``try`` whose handlers include a bare ``except`` /
   ``except Exception`` / ``except BaseException`` is treated as
   catching everything; narrower handler lists let the exception edge

@@ -48,7 +48,7 @@ from repro.analysis.context import ancestors
 
 #: Bump when spawn/await/lockset semantics change: the lint cache mixes
 #: this into the program key so stale RL9-RL11 results re-analyze cold.
-CONCURRENCY_MODEL_VERSION = "1"
+CONCURRENCY_MODEL_VERSION = "2"
 
 #: Receiver-method names that schedule a coroutine as a task.
 TASK_SPAWN_ATTRS: frozenset[str] = frozenset({"create_task", "ensure_future"})

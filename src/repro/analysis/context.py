@@ -47,16 +47,6 @@ def ancestors(node: ast.AST) -> Iterator[ast.AST]:
         cur = parent_of(cur)
 
 
-def enclosing_function(
-    node: ast.AST,
-) -> ast.FunctionDef | ast.AsyncFunctionDef | None:
-    """The innermost function definition containing *node*, if any."""
-    for anc in ancestors(node):
-        if isinstance(anc, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            return anc
-    return None
-
-
 def dotted_name(node: ast.expr) -> str | None:
     """``a.b.c`` for a Name/Attribute chain, else ``None``.
 

@@ -201,15 +201,6 @@ def select_program_rules(
     return rules
 
 
-def rules_for(
-    ctx: FileContext, rules: Iterable[BaseRule] | None = None
-) -> Iterator[BaseRule]:
-    """The rules that apply to *ctx* after scope filtering."""
-    for rule in all_rules() if rules is None else rules:
-        if rule.applies_to(ctx):
-            yield rule
-
-
 # Re-exported decorator-friendly alias used by rule modules.
 rule = register
 

@@ -18,7 +18,6 @@ from repro.analysis.rules import (  # noqa: F401  (imported for side effects)
     rl9_awaittxn,
     rl10_blockingloop,
     rl11_lockset,
-    rl12_taint,
     rl13_lifecycle,
 )
 
@@ -34,6 +33,5 @@ __all__ = [
     "rl9_awaittxn",
     "rl10_blockingloop",
     "rl11_lockset",
-    "rl12_taint",
     "rl13_lifecycle",
 ]

@@ -125,7 +125,10 @@ class LocksetRule(BaseProgramRule):
     def _attr_writes(
         self, func_node: _FunctionNode
     ) -> Iterator[tuple[str, ast.AST]]:
-        """``self.X`` attribute names written in *func_node*'s body."""
+        """``self.X`` attribute names written in *func_node*'s body,
+        directly or into a local alias of ``self.X`` (``lease.deadline
+        = ...`` after ``lease = self._leases.get(key)``)."""
+        aliases = _self_aliases(func_node)
         for node in own_nodes(func_node):
             targets: list[ast.expr] = []
             if isinstance(node, ast.Assign):
@@ -140,12 +143,14 @@ class LocksetRule(BaseProgramRule):
                     isinstance(func, ast.Attribute)
                     and func.attr in MUTATOR_METHODS
                 ):
-                    attr = _self_attr_of(func.value)
+                    attr = _self_attr_of(func.value) or _alias_of(
+                        func, aliases
+                    )
                     if attr is not None:
                         yield attr, node
                 continue
             for target in targets:
-                attr = _self_attr_of(target)
+                attr = _self_attr_of(target) or _alias_of(target, aliases)
                 if attr is not None:
                     yield attr, node
 
@@ -311,6 +316,50 @@ def _self_attr_of(expr: ast.expr) -> str | None:
     if isinstance(cur, ast.Name) and cur.id == "self" and chain:
         return chain[-1]
     return None
+
+
+def _self_aliases(func_node: _FunctionNode) -> dict[str, str]:
+    """Locals bound only from an expression rooted at ``self.X``
+    (``self.X``, ``self.X[k]``, ``self.X.get(k)``, ``for v in
+    self.X.values()``), each mapped to ``X``."""
+    aliases: dict[str, str] = {}
+    rebound: set[str] = set()
+    for node in own_nodes(func_node):
+        if isinstance(node, ast.Assign):
+            pairs = [(target, node.value) for target in node.targets]
+        elif isinstance(node, (ast.For, ast.AsyncFor)):
+            pairs = [(node.target, node.iter)]
+        else:
+            continue
+        for target, value in pairs:
+            names = target.elts if isinstance(target, ast.Tuple) else [target]
+            source = value
+            if isinstance(value, ast.Call):
+                # `self.X.get(k)` reads through its receiver `self.X`;
+                # `self.method()` returns no alias of `self`.
+                func = value.func
+                source = func.value if isinstance(func, ast.Attribute) else func
+            attr = _self_attr_of(source)
+            for name in names:
+                if not isinstance(name, ast.Name):
+                    continue
+                if attr is None:
+                    rebound.add(name.id)
+                else:
+                    aliases[name.id] = attr
+    return {n: a for n, a in aliases.items() if n not in rebound}
+
+
+def _alias_of(expr: ast.expr, aliases: dict[str, str]) -> str | None:
+    """``X`` when *expr* writes into a local alias of ``self.X``: an
+    attribute or item of it (``lease.deadline``, ``lease[k]``), or a
+    mutator method on it (``lease.append``)."""
+    cur = expr
+    while isinstance(cur, (ast.Attribute, ast.Subscript)):
+        cur = cur.value
+    if cur is expr or not isinstance(cur, ast.Name):
+        return None
+    return aliases.get(cur.id)
 
 
 def _receiver_is_asyncio(

@@ -11,7 +11,7 @@ so that the segment lists never go stale.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from repro.db.cell import Cell
 from repro.db.floorplan import Floorplan
@@ -390,16 +390,3 @@ class Design:
             f"Design({self.name!r}, {len(self.cells)} cells "
             f"({placed} placed), {self.floorplan!r})"
         )
-
-
-def build_design(
-    floorplan: Floorplan,
-    cell_specs: Iterable[tuple[CellMaster, float, float]],
-    library: Library | None = None,
-    name: str = "design",
-) -> Design:
-    """Convenience constructor: a design from (master, gp_x, gp_y) triples."""
-    design = Design(floorplan, library=library, name=name)
-    for master, gx, gy in cell_specs:
-        design.add_cell(master, gp_x=gx, gp_y=gy)
-    return design

@@ -42,6 +42,8 @@ from repro.engine.shard_worker import ShardOutcome, ShardTask, run_shard
 from repro.engine.supervisor import (
     POLL_INTERVAL_S,
     ShardQueue,
+    lease_attempt,
+    lease_id,
     run_inprocess,
     run_pool,
 )
@@ -317,22 +319,29 @@ class TcpTransport(ShardTransport):
 
 
 def _on_result(message: dict[str, object], queue: ShardQueue) -> None:
-    """Settle a worker's ``result`` message in *queue*."""
+    """Settle a worker's ``result`` message in *queue*.
+
+    A result whose ``shard`` disagrees with its lease id or with its
+    payload's ``shard_id`` is a protocol error: it would settle one
+    shard with another's outcome."""
     key = message_str(message, "lease")
     sid = message_int(message, "shard")
+    if key != lease_id(sid, lease_attempt(key)):
+        raise RemoteProtocolError(
+            f"result labelled shard {sid} arrived on lease {key!r}"
+        )
     if message_str(message, "status") != "ok":
         detail = message_str(message, "detail")
         now = time.monotonic()
         queue.settle(key, sid, now, status="error", detail=detail)
         return
-    # repro-lint: disable=RL12 -- worker hosts are operator-deployed
-    # trusted peers (the wire contract in wire.py restricts payloads to
-    # frozen value objects); the isinstance check below rejects
-    # anything else.
+    # Worker hosts are operator-deployed trusted peers (the wire
+    # contract in wire.py restricts payloads to frozen value objects);
+    # the isinstance check below rejects anything else.
     payload = unpack_payload(message_str(message, "payload"))
-    if not isinstance(payload, ShardOutcome):
+    if not isinstance(payload, ShardOutcome) or payload.shard_id != sid:
         raise RemoteProtocolError(
-            f"result payload for shard {sid} is not a ShardOutcome"
+            f"result payload for shard {sid} is not its ShardOutcome"
         )
     now = time.monotonic()
     queue.settle(key, sid, now, payload)
@@ -474,9 +483,9 @@ def _run_task(
     sid = message_int(reply, "shard")
     attempt = message_int(reply, "attempt")
     interval_s = message_float(reply, "heartbeat")
-    # repro-lint: disable=RL12 -- the coordinator is the worker's own
-    # operator-deployed peer (workers dial it by explicit host:port);
-    # the isinstance check below rejects any non-ShardTask payload.
+    # The coordinator is the worker's own operator-deployed peer
+    # (workers dial it by explicit host:port); the isinstance check
+    # below rejects any non-ShardTask payload.
     task = unpack_payload(message_str(reply, "payload"))
     if not isinstance(task, ShardTask):
         raise RemoteProtocolError(

@@ -68,7 +68,9 @@ def decode_message(line: bytes) -> dict[str, object]:
     """
     try:
         raw = json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # Bad UTF-8 and JSON are ValueErrors, as is an over-long
+        # integer; deep nesting raises RecursionError.
         raise RemoteProtocolError(f"wire line is not NDJSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise RemoteProtocolError("wire message must be a JSON object")
@@ -108,7 +110,8 @@ def unpack_payload(text: str) -> object:
 
 
 def message_str(message: dict[str, object], key: str) -> str:
-    """Typed field access mirroring ``serve.protocol.param_str``."""
+    """Typed field access: a missing or mistyped field is a protocol
+    error."""
     value = message.get(key)
     if not isinstance(value, str):
         raise RemoteProtocolError(

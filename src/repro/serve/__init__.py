@@ -32,6 +32,7 @@ from repro.serve.errors import (
 from repro.serve.jobs import Job, JobQueue, QueueStats
 from repro.serve.manager import SessionManager
 from repro.serve.protocol import (
+    ECO_KINDS,
     KNOWN_OPS,
     PROTOCOL_VERSION,
     SESSION_OPS,
@@ -43,7 +44,7 @@ from repro.serve.protocol import (
     encode,
 )
 from repro.serve.server import LegalizationServer, ServeConfig, run_server
-from repro.serve.session import ECO_KINDS, DesignSession, SessionInfo
+from repro.serve.session import DesignSession, SessionInfo
 
 __all__ = [
     "AdmissionError",

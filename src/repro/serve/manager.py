@@ -17,19 +17,16 @@ else's traffic.
 from __future__ import annotations
 
 from dataclasses import replace
+from typing import Any
 
 from repro.core.config import LegalizerConfig
 from repro.serve.errors import (
     AdmissionError,
+    ProtocolError,
     SessionExistsError,
     UnknownSessionError,
 )
-from repro.serve.protocol import (
-    param_bool,
-    param_float,
-    param_int,
-    param_str,
-)
+from repro.serve.protocol import check_params
 from repro.serve.session import DesignSession, SessionInfo
 
 
@@ -114,16 +111,16 @@ class SessionManager:
         Pure construction — safe off-loop; the caller must hold a
         reservation for *name* and :meth:`install` the result.
         """
-        config = self._request_config(params)
+        checked = check_params(op, params)
+        config = self._request_config(checked)
         if op == "open":
-            # repro-lint: disable=RL12 -- the aux path is the operator's
-            # own design file: the serve CLI is a single-operator tool
-            # and `open` is documented to read any path the server
-            # account can; snapshots (the server-written side) stay
-            # confined by _confine_snapshot_dir.
+            # The aux path is the operator's own design file: the serve
+            # CLI is a single-operator tool and `open` is documented to
+            # read any path the server account can; snapshots (the
+            # server-written side) stay confined to the snapshot dir.
             return DesignSession.load(
                 name,
-                param_str(params, "aux"),
+                checked["aux"],
                 config,
                 fault_budget=self.fault_budget,
                 snapshot_dir=self.snapshot_dir,
@@ -131,34 +128,28 @@ class SessionManager:
             )
         return DesignSession.generate(
             name,
-            params,
+            checked,
             config,
             fault_budget=self.fault_budget,
             snapshot_dir=self.snapshot_dir,
             allow_fault_injection=self.allow_fault_injection,
         )
 
-    def _request_config(self, params: dict[str, object]) -> LegalizerConfig:
-        """Session config = server base config + per-open overrides."""
-        config = self.base_config
-        overrides: dict[str, object] = {}
-        if "seed" in params:
-            overrides["seed"] = param_int(
-                params, "seed", minimum=0, maximum=2**32 - 1
-            )
-        if "rx" in params:
-            overrides["rx"] = param_float(
-                params, "rx", minimum=0.0, maximum=1000.0
-            )
-        if "ry" in params:
-            overrides["ry"] = param_float(
-                params, "ry", minimum=0.0, maximum=1000.0
-            )
-        if "relaxed" in params and param_bool(params, "relaxed"):
+    def _request_config(self, params: dict[str, Any]) -> LegalizerConfig:
+        """Session config = server base config + per-open overrides
+        (*params* checked).  A value the config refuses, such as a
+        fractional ``rx``, is the client's error."""
+        overrides = {
+            key: params[key] for key in ("seed", "rx", "ry") if key in params
+        }
+        if params["relaxed"]:
             overrides["power_aligned"] = False
-        if overrides:
-            config = replace(config, **overrides)  # type: ignore[arg-type]
-        return config
+        if not overrides:
+            return self.base_config
+        try:
+            return replace(self.base_config, **overrides)
+        except ValueError as exc:
+            raise ProtocolError(str(exc)) from exc
 
     # ------------------------------------------------------------------
     # Eviction / flush

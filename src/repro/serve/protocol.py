@@ -33,9 +33,12 @@ the same request byte-identically is part of the reproducibility story.
 from __future__ import annotations
 
 import json
+import math
+import re
 from dataclasses import dataclass, field
+from typing import Any, Mapping
 
-from repro.serve.errors import ProtocolError
+from repro.serve.errors import EcoError, ProtocolError
 
 #: Bump on any incompatible change to the message shapes.
 PROTOCOL_VERSION = 1
@@ -45,35 +48,124 @@ PROTOCOL_VERSION = 1
 #: and dropped.
 MAX_LINE_BYTES = 2**16
 
+#: A session name is also the file stem of its snapshot bundle under
+#: ``--snapshot-dir``, so it may not name a path: no separator, no
+#: leading dot, no NUL, at most 64 characters.
+SESSION_NAME = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]{0,63}")
+
+
+# ----------------------------------------------------------------------
+# The request table: every param of every op, declared once
+# ----------------------------------------------------------------------
+#: Default of a param the request must carry.
+REQUIRED = object()
+#: Default of a param whose default depends on the design or the
+#: server's config: the handler supplies it, and a checked dict leaves
+#: the key out when the request does.
+DERIVED = object()
+
+
+@dataclass(frozen=True, slots=True)
+class Param:
+    """One request parameter: the Python type of its JSON value
+    (``str``, ``int``, ``float`` for any number, ``bool``), its
+    default, and for a number its finite ``[minimum, maximum]``.  A
+    default of ``None`` makes the param optional, and JSON ``null``
+    then means absent."""
+
+    value_type: type
+    default: object = REQUIRED
+    minimum: float | None = None
+    maximum: float | None = None
+
+
+@dataclass(frozen=True, slots=True)
+class Op:
+    """One request op: whether it names a session, and its params."""
+
+    session: bool
+    params: Mapping[str, Param]
+
+
+#: Per-request overrides of the server's legalizer config.
+_CONFIG_PARAMS: dict[str, Param] = {
+    "seed": Param(int, DERIVED, 0, 2**32 - 1),
+    "rx": Param(float, DERIVED, 0.0, 1000.0),
+    "ry": Param(float, DERIVED, 0.0, 1000.0),
+    "relaxed": Param(bool, False),
+}
+
+#: Every op, in protocol order, with the params it takes.
+OPS: dict[str, Op] = {
+    "ping": Op(False, {}),
+    "sessions": Op(False, {}),
+    "open": Op(True, {"aux": Param(str), **_CONFIG_PARAMS}),
+    "generate": Op(
+        True,
+        {
+            "cells": Param(int, 400, 1, 200_000),
+            "density": Param(float, 0.45, 0.01, 0.95),
+            "double_fraction": Param(float, 0.1, 0.0, 1.0),
+            **_CONFIG_PARAMS,
+        },
+    ),
+    "legalize": Op(
+        True,
+        {
+            "reset": Param(bool, False),
+            "workers": Param(int, 1, 1, 64),
+            "shards": Param(int, None, 1, 256),
+            "quarantine": Param(bool, False),
+        },
+    ),
+    # The params of the ECO's kind come on top (ECO_PARAMS).
+    "eco": Op(
+        True, {"kind": Param(str), "fault_at": Param(int, None, 1, 10**6)}
+    ),
+    "digest": Op(True, {}),
+    "stats": Op(True, {}),
+    "snapshot": Op(True, {"dir": Param(str, None)}),
+    "close": Op(True, {"snapshot": Param(bool, False)}),
+    "shutdown": Op(False, {}),
+}
+
+#: Move targets are sites and rows; the range lies far past any die, so
+#: an off-die target rolls back instead of failing validation.
+_COORD = Param(float, REQUIRED, -1e9, 1e9)
+
+#: Every ECO kind, in protocol order, with the params it takes.
+ECO_PARAMS: dict[str, dict[str, Param]] = {
+    "move": {"cell": Param(str), "x": _COORD, "y": _COORD},
+    "resize": {
+        "cell": Param(str),
+        "width": Param(int, REQUIRED, 1, 10_000),
+        "height": Param(int, DERIVED, 1, 64),
+    },
+    "swap": {"cell": Param(str), "other": Param(str)},
+    "buffer": {
+        "net": Param(str),
+        "width": Param(int, 1, 1, 10_000),
+        "height": Param(int, 1, 1, 64),
+        "split_at": Param(int, 1, 1, 10**6),
+    },
+    "improve": {
+        "passes": Param(int, 1, 0, 10),
+        "max_moves": Param(int, None, 0, 10**6),
+    },
+    "swap_pass": {"max_pairs": Param(int, None, 0, 10**6)},
+}
+
 #: Operations a request may name (validated at decode time so a typo'd
 #: op fails fast with ``protocol`` rather than deep in dispatch).
-KNOWN_OPS: tuple[str, ...] = (
-    "ping",
-    "sessions",
-    "open",
-    "generate",
-    "legalize",
-    "eco",
-    "digest",
-    "stats",
-    "snapshot",
-    "close",
-    "shutdown",
-)
+KNOWN_OPS: tuple[str, ...] = tuple(OPS)
 
 #: Operations that require a ``session`` field.
 SESSION_OPS: frozenset[str] = frozenset(
-    {
-        "open",
-        "generate",
-        "legalize",
-        "eco",
-        "digest",
-        "stats",
-        "snapshot",
-        "close",
-    }
+    name for name, op in OPS.items() if op.session
 )
+
+#: ECO kinds a session understands, in protocol order.
+ECO_KINDS: tuple[str, ...] = tuple(ECO_PARAMS)
 
 
 @dataclass(slots=True)
@@ -154,7 +246,9 @@ def decode_request(line: bytes | str) -> Request:
             raise ProtocolError(f"request line is not UTF-8: {exc}") from exc
     try:
         raw = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # Deep nesting raises RecursionError and an over-long integer a
+        # plain ValueError, neither of them a JSONDecodeError.
         raise ProtocolError(f"request line is not JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ProtocolError("request must be a JSON object")
@@ -173,6 +267,11 @@ def decode_request(line: bytes | str) -> Request:
         raise ProtocolError("`session` must be a string when present")
     if op in SESSION_OPS and not session:
         raise ProtocolError(f"op {op!r} requires a `session`")
+    if session is not None and not SESSION_NAME.fullmatch(session):
+        raise ProtocolError(
+            f"session name {session[:80]!r} must match "
+            f"{SESSION_NAME.pattern}"
+        )
     params = raw.get("params", {})
     if not isinstance(params, dict):
         raise ProtocolError("`params` must be an object when present")
@@ -221,96 +320,76 @@ def decode_reply(line: bytes | str) -> Response | Event:
 
 
 # ----------------------------------------------------------------------
-# Typed parameter access
+# Checking params against the table
 # ----------------------------------------------------------------------
-_MISSING = object()
+_JSON_TYPE = {str: "string", int: "integer", float: "number", bool: "boolean"}
 
 
-def param_str(
-    params: dict[str, object], key: str, default: str | object = _MISSING
-) -> str:
-    value = params.get(key, default)
-    if value is _MISSING:
-        raise ProtocolError(f"missing required string param {key!r}")
-    if not isinstance(value, str):
-        raise ProtocolError(f"param {key!r} must be a string")
-    return value
+def check_params(op: str, params: Mapping[str, object]) -> dict[str, Any]:
+    """Check the params of one *op* request against the table.
 
-
-def param_int(
-    params: dict[str, object],
-    key: str,
-    default: int | object = _MISSING,
-    *,
-    minimum: int | None = None,
-    maximum: int | None = None,
-) -> int:
-    value = params.get(key, default)
-    if value is _MISSING:
-        raise ProtocolError(f"missing required integer param {key!r}")
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ProtocolError(f"param {key!r} must be an integer")
-    _check_range(key, value, minimum, maximum)
-    return value
-
-
-def param_float(
-    params: dict[str, object],
-    key: str,
-    default: float | object = _MISSING,
-    *,
-    minimum: float | None = None,
-    maximum: float | None = None,
-) -> float:
-    value = params.get(key, default)
-    if value is _MISSING:
-        raise ProtocolError(f"missing required number param {key!r}")
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ProtocolError(f"param {key!r} must be a number")
-    out = float(value)
-    if out != out or out in (float("inf"), float("-inf")):
-        raise ProtocolError(f"param {key!r} must be finite")
-    _check_range(key, out, minimum, maximum)
-    return out
-
-
-def _check_range(
-    key: str,
-    value: float,
-    minimum: float | None,
-    maximum: float | None,
-) -> None:
-    """Range sanitizer shared by the numeric extractors: wire-supplied
-    numbers configure the engine, so out-of-range values are protocol
-    errors, not silent clamps."""
-    if minimum is not None and value < minimum:
+    Returns them with defaults filled in (a :data:`DERIVED` one is left
+    out) and a ``float`` param's number as a ``float``.  Raises
+    :class:`ProtocolError` on a missing required key, an unknown key, a
+    wrong JSON type (a bool is not a number), a non-finite number or a
+    value out of range, and :class:`EcoError` on an unknown ECO kind.
+    """
+    spec = OPS[op].params
+    where = f"op {op!r}"
+    if op == "eco":
+        kind = _check_param("kind", spec["kind"], params.get("kind", REQUIRED))
+        if kind not in ECO_PARAMS:
+            raise EcoError(
+                f"unknown eco kind {kind!r} (known: {', '.join(ECO_KINDS)})"
+            )
+        spec = {**spec, **ECO_PARAMS[str(kind)]}
+        where = f"eco kind {kind!r}"
+    unknown = sorted(key for key in params if key not in spec)
+    if unknown:
         raise ProtocolError(
-            f"param {key!r} must be >= {minimum}, got {value}"
+            f"unknown param {unknown[0]!r} for {where} "
+            f"(known: {', '.join(spec) or 'none'})"
         )
-    if maximum is not None and value > maximum:
-        raise ProtocolError(
-            f"param {key!r} must be <= {maximum}, got {value}"
-        )
+    checked: dict[str, Any] = {}
+    for key, param in spec.items():
+        value = _check_param(key, param, params.get(key, REQUIRED))
+        if value is not DERIVED:
+            checked[key] = value
+    return checked
 
 
-def param_bool(
-    params: dict[str, object], key: str, default: bool | object = _MISSING
-) -> bool:
-    value = params.get(key, default)
-    if value is _MISSING:
-        raise ProtocolError(f"missing required boolean param {key!r}")
-    if not isinstance(value, bool):
-        raise ProtocolError(f"param {key!r} must be a boolean")
-    return value
-
-
-def param_opt_int(
-    params: dict[str, object],
-    key: str,
-    *,
-    minimum: int | None = None,
-    maximum: int | None = None,
-) -> int | None:
-    if params.get(key) is None:
+def _check_param(key: str, param: Param, value: object) -> object:
+    """One value (``REQUIRED`` when absent) checked against *param*."""
+    name = _JSON_TYPE[param.value_type]
+    if value is REQUIRED:
+        if param.default is REQUIRED:
+            raise ProtocolError(f"missing required {name} param {key!r}")
+        return param.default
+    if value is None and param.default is None:
         return None
-    return param_int(params, key, minimum=minimum, maximum=maximum)
+    accepted: type | tuple[type, ...] = param.value_type
+    if accepted is float:
+        accepted = (int, float)
+    if not isinstance(value, accepted) or (
+        isinstance(value, bool) and param.value_type is not bool
+    ):
+        article = "an" if name[0] in "aeiou" else "a"
+        raise ProtocolError(f"param {key!r} must be {article} {name}")
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return value  # a string or a boolean: no range
+    if param.value_type is float:
+        try:
+            value = float(value)
+        except OverflowError:  # an integer past the float range
+            value = math.inf
+        if not math.isfinite(value):
+            raise ProtocolError(f"param {key!r} must be finite")
+    if param.minimum is not None and value < param.minimum:
+        raise ProtocolError(
+            f"param {key!r} must be >= {param.minimum}, got {value}"
+        )
+    if param.maximum is not None and value > param.maximum:
+        raise ProtocolError(
+            f"param {key!r} must be <= {param.maximum}, got {value}"
+        )
+    return value

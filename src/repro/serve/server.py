@@ -40,7 +40,7 @@ from repro.serve.protocol import (
     ProtocolError,
     Request,
     Response,
-    param_bool,
+    check_params,
 )
 from repro.serve.session import DesignSession
 from repro.testing.faults import InjectedFault
@@ -224,6 +224,8 @@ class LegalizationServer:
         self, request: Request, out: "asyncio.Queue[bytes | None]"
     ) -> None:
         op = request.op
+        if op in ("ping", "sessions", "shutdown"):
+            check_params(op, request.params)  # they take none
         if op == "ping":
             out.put_nowait(
                 protocol.encode(
@@ -342,8 +344,7 @@ class LegalizationServer:
             def close() -> dict[str, object]:
                 session = self.manager.get(name)
                 snapshot: str | None = None
-                want_snapshot = param_bool(params, "snapshot", False)
-                if want_snapshot:
+                if check_params("close", params)["snapshot"]:
                     snapshot = session.snapshot()
                 self.manager.evict(name)
                 result: dict[str, object] = {
@@ -427,7 +428,7 @@ def _best_effort_id(line: bytes) -> str:
     """Pull an ``id`` out of a line that failed full validation."""
     try:
         raw = json.loads(line.decode("utf-8", errors="replace"))
-    except json.JSONDecodeError:
+    except (ValueError, RecursionError):
         return "?"
     if isinstance(raw, dict) and isinstance(raw.get("id"), str):
         return raw["id"]

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable
 
 from repro.checker import displacement_stats, verify_placement
 from repro.core.config import LegalizerConfig
@@ -41,14 +41,7 @@ from repro.db.design import Design
 from repro.db.journal import Transaction
 from repro.db.netlist import Net
 from repro.serve.errors import EcoError, SessionQuarantinedError
-from repro.serve.protocol import (
-    ProtocolError,
-    param_bool,
-    param_float,
-    param_int,
-    param_opt_int,
-    param_str,
-)
+from repro.serve.protocol import ProtocolError, check_params
 from repro.testing.faults import (
     DigestMemo,
     FaultInjector,
@@ -57,16 +50,6 @@ from repro.testing.faults import (
 
 #: Signature of the progress sink handed to long-running requests.
 ProgressFn = Callable[[dict[str, object]], None]
-
-#: ECO kinds a session understands, in protocol order.
-ECO_KINDS: tuple[str, ...] = (
-    "move",
-    "resize",
-    "swap",
-    "buffer",
-    "improve",
-    "swap_pass",
-)
 
 
 @dataclass(slots=True)
@@ -158,19 +141,12 @@ class DesignSession:
         """Synthesize a design via :mod:`repro.bench.generator`."""
         from repro.bench import GeneratorConfig, generate_design
 
+        checked = check_params("generate", params)
         gen = GeneratorConfig(
-            num_cells=param_int(
-                params, "cells", 400, minimum=1, maximum=200_000
-            ),
-            target_density=param_float(
-                params, "density", 0.45, minimum=0.01, maximum=0.95
-            ),
-            double_row_fraction=param_float(
-                params, "double_fraction", 0.1, minimum=0.0, maximum=1.0
-            ),
-            seed=param_int(
-                params, "seed", config.seed, minimum=0, maximum=2**32 - 1
-            ),
+            num_cells=checked["cells"],
+            target_density=checked["density"],
+            double_row_fraction=checked["double_fraction"],
+            seed=checked.get("seed", config.seed),
             name=name,
         )
         design = generate_design(gen)
@@ -242,7 +218,8 @@ class DesignSession:
         and any unexpected exception is charged to the fault budget
         *after* verifying the rollback restored that digest exactly.
         Validation failures (:class:`EcoError` / ``ProtocolError``)
-        happen before any mutation and are never charged.
+        happen before any mutation and are never charged; *params* are
+        checked against the request table on entry.
         """
         if self.quarantined and op not in ("digest", "stats", "snapshot"):
             raise SessionQuarantinedError(
@@ -250,22 +227,23 @@ class DesignSession:
                 f"({self.quarantine_reason}); snapshot and close are "
                 f"still available"
             )
+        if op not in ("digest", "stats", "snapshot", "legalize", "eco"):
+            raise ProtocolError(f"op {op!r} is not a session operation")
+        checked = check_params(op, params)
         if op == "digest":
             return {"digest": self.digest(), "seq": self.seq}
         if op == "stats":
             return self.stats()
         if op == "snapshot":
-            return self._do_snapshot(params)
-        if op not in ("legalize", "eco"):
-            raise ProtocolError(f"op {op!r} is not a session operation")
+            return self._do_snapshot(checked["dir"])
 
         before = self.digest()
         try:
             if op == "legalize":
-                result = self._do_legalize(params, progress)
+                result = self._do_legalize(checked, progress)
             else:
-                result = self._do_eco(params, progress)
-        except (EcoError, ProtocolError):
+                result = self._do_eco(checked, progress)
+        except EcoError:
             raise
         except Exception as exc:
             self._charge_fault(before, exc)
@@ -306,20 +284,19 @@ class DesignSession:
     # legalize
     # ------------------------------------------------------------------
     def _do_legalize(
-        self, params: dict[str, object], progress: ProgressFn | None
+        self, params: dict[str, Any], progress: ProgressFn | None
     ) -> dict[str, object]:
         design = self.design
-        reset = param_bool(params, "reset", False)
-        workers = param_int(params, "workers", 1, minimum=1, maximum=64)
-        shards = param_opt_int(params, "shards", minimum=1, maximum=256)
-        quarantine = param_bool(params, "quarantine", False)
+        workers: int = params["workers"]
+        shards: int | None = params["shards"]
+        quarantine: bool = params["quarantine"]
         config = self.config
         if quarantine != config.quarantine:
             from dataclasses import replace
 
             config = replace(config, quarantine=quarantine)
         with Transaction(design):
-            if reset:
+            if params["reset"]:
                 # Journaled equivalent of Design.reset_placement():
                 # the reset must sit inside the transaction so a
                 # failed reset+legalize rolls back to the exact
@@ -439,14 +416,10 @@ class DesignSession:
     # ECO primitives
     # ------------------------------------------------------------------
     def _do_eco(
-        self, params: dict[str, object], progress: ProgressFn | None
+        self, params: dict[str, Any], progress: ProgressFn | None
     ) -> dict[str, object]:
-        kind = param_str(params, "kind")
-        if kind not in ECO_KINDS:
-            raise EcoError(
-                f"unknown eco kind {kind!r} (known: {', '.join(ECO_KINDS)})"
-            )
-        fault_at = param_opt_int(params, "fault_at")
+        kind: str = params["kind"]
+        fault_at: int | None = params["fault_at"]
         if fault_at is not None and not self.allow_fault_injection:
             raise EcoError(
                 "fault injection is disabled on this server "
@@ -458,7 +431,7 @@ class DesignSession:
         return self._run_eco(kind, params)
 
     def _run_eco(
-        self, kind: str, params: dict[str, object]
+        self, kind: str, params: dict[str, Any]
     ) -> dict[str, object]:
         from repro.apps import (
             improve_hpwl,
@@ -474,20 +447,14 @@ class DesignSession:
         with Transaction(design):
             try:
                 if kind == "move":
-                    cell = self._cell(param_str(params, "cell"))
+                    cell = self._cell(params["cell"])
                     committed = move_cell(
-                        design,
-                        cell,
-                        param_float(params, "x"),
-                        param_float(params, "y"),
-                        self.config,
+                        design, cell, params["x"], params["y"], self.config
                     )
                 elif kind == "resize":
-                    cell = self._cell(param_str(params, "cell"))
-                    width = param_int(params, "width")
-                    height = param_int(params, "height", cell.height)
-                    if width < 1 or height < 1:
-                        raise EcoError("resize needs positive dimensions")
+                    cell = self._cell(params["cell"])
+                    width: int = params["width"]
+                    height: int = params.get("height", cell.height)
                     rail = (
                         cell.master.bottom_rail
                         if height % 2 == 0
@@ -500,26 +467,24 @@ class DesignSession:
                         design, cell, master, self.config
                     )
                 elif kind == "swap":
-                    cell = self._cell(param_str(params, "cell"))
-                    other = self._cell(param_str(params, "other"))
+                    cell = self._cell(params["cell"])
+                    other = self._cell(params["other"])
                     if cell is other:
                         raise EcoError("swap needs two distinct cells")
                     committed = swap_cells(
                         design, cell, other, self.config
                     )
                 elif kind == "buffer":
-                    net = self._net(param_str(params, "net"))
+                    net = self._net(params["net"])
                     master = design.library.get_or_create(
-                        param_int(params, "width", 1),
-                        param_int(params, "height", 1),
-                        None,
+                        params["width"], params["height"], None
                     )
                     buffered = insert_buffer(
                         design,
                         net,
                         master,
                         self.config,
-                        split_at=param_int(params, "split_at", 1),
+                        split_at=params["split_at"],
                     )
                     committed = buffered.success
                     if buffered.buffer is not None:
@@ -528,10 +493,8 @@ class DesignSession:
                     stats = improve_hpwl(
                         design,
                         self.config,
-                        passes=param_int(params, "passes", 1),
-                        max_moves_per_pass=param_opt_int(
-                            params, "max_moves"
-                        ),
+                        passes=params["passes"],
+                        max_moves_per_pass=params["max_moves"],
                     )
                     committed = True
                     result["moves_tried"] = stats.moves_tried
@@ -540,7 +503,7 @@ class DesignSession:
                     sstats = swap_pass(
                         design,
                         self.config,
-                        max_pairs=param_opt_int(params, "max_pairs"),
+                        max_pairs=params["max_pairs"],
                     )
                     committed = True
                     result["pairs_tried"] = sstats.pairs_tried
@@ -575,11 +538,12 @@ class DesignSession:
     # ------------------------------------------------------------------
     # Snapshot / flush
     # ------------------------------------------------------------------
-    def _do_snapshot(self, params: dict[str, object]) -> dict[str, object]:
-        directory = params.get("dir")
-        if directory is not None and not isinstance(directory, str):
-            raise ProtocolError("param 'dir' must be a string")
-        path = self.snapshot(self._confine_snapshot_dir(directory))
+    def _do_snapshot(self, directory: str | None) -> dict[str, object]:
+        target = self._confine_snapshot_dir(directory)
+        try:
+            path = self.snapshot(target)
+        except OSError as exc:  # e.g. a name too long, a file in the way
+            raise EcoError(f"snapshot failed: {exc}") from exc
         return {"path": path, "seq": self.seq, "digest": self.digest()}
 
     def _confine_snapshot_dir(self, directory: str | None) -> str | None:
@@ -598,6 +562,8 @@ class DesignSession:
                 "(start the server with --snapshot-dir); params.dir is "
                 "confined to it"
             )
+        if "\0" in directory:
+            raise EcoError(f"snapshot dir {directory!r} holds a NUL byte")
         base = os.path.realpath(self.snapshot_dir)
         resolved = os.path.realpath(os.path.join(base, directory))
         if resolved != base and not resolved.startswith(base + os.sep):

@@ -18,7 +18,6 @@ PROGRAM_CODES = (
     "RL9",
     "RL10",
     "RL11",
-    "RL12",
     "RL13",
 )
 
@@ -227,7 +226,7 @@ class TestRuleDetail:
             for d in program_lint(FIXTURES / "rl11_positive.py")
             if d.code == "RL11"
         ]
-        assert len(messages) == 3
+        assert len(messages) == 4
         assert any("inconsistent lockset" in m for m in messages)
         assert any(
             "put_nowait on an event-loop object" in m for m in messages
@@ -236,34 +235,27 @@ class TestRuleDetail:
             "call_soon on an event-loop object" in m for m in messages
         )
         # The lockset message names the lock the other writers hold.
-        lockset = next(m for m in messages if "inconsistent" in m)
+        lockset = next(m for m in messages if "Tally.count" in m)
         assert "Tally._lock" in lockset
+        # A write through a local alias of `self._leases` is one too.
+        alias = next(m for m in messages if "Leases._leases" in m)
+        assert "Leases.renew holds no lock" in alias
 
-    def test_rl12_covers_each_sink_family(self):
-        messages = [
-            d.message
-            for d in program_lint(FIXTURES / "rl12_positive.py")
-            if d.code == "RL12"
-        ]
-        assert len(messages) == 4
-        assert any("path sink `open(...)`" in m for m in messages)
-        assert any("config sink" in m for m in messages)
-        assert any("pickle sink" in m for m in messages)
-        # The interprocedural hit is reported at the call site and
-        # names the callee carrying the sink.
-        assert any("via `_emit`" in m for m in messages)
-
-    def test_rl12_levels_are_tracked(self):
-        messages = " ".join(
-            d.message
-            for d in program_lint(FIXTURES / "rl12_positive.py")
-            if d.code == "RL12"
+    def test_rl11_sees_writes_through_a_loop_alias(self, tmp_path):
+        source = (FIXTURES / "rl11_positive.py").read_text().replace(
+            "        lease = self._leases.get(key)\n"
+            "        if lease is not None:\n"
+            "            lease.deadline = now\n",
+            "        for lease in self._leases.values():\n"
+            "            lease.deadline = now\n",
         )
-        # param_str output is str-level; param_int output is num-level;
-        # a raw params subscript stays raw.
-        assert "untrusted wire input (str)" in messages
-        assert "untrusted wire input (num)" in messages
-        assert "untrusted wire input (raw)" in messages
+        assert "self._leases.values()" in source
+        path = tmp_path / "rl11_loop_alias.py"
+        path.write_text(source)
+        messages = [
+            d.message for d in program_lint(path) if d.code == "RL11"
+        ]
+        assert any("Leases.renew holds no lock" in m for m in messages)
 
     def test_rl13_covers_each_leak_flavor(self):
         messages = [

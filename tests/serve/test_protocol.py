@@ -1,22 +1,27 @@
-"""Wire-protocol unit tests: decode validation, deterministic encode."""
+"""Wire-protocol unit tests: decode validation, deterministic encode,
+and the request table's one param checker."""
+
+import math
 
 import pytest
 
 from repro.serve import protocol
-from repro.serve.errors import ProtocolError
+from repro.serve.errors import EcoError, ProtocolError
 from repro.serve.protocol import (
+    DERIVED,
+    ECO_PARAMS,
+    OPS,
+    REQUIRED,
     Event,
     Request,
     Response,
+    check_params,
     decode_reply,
     decode_request,
     encode,
-    param_bool,
-    param_float,
-    param_int,
-    param_opt_int,
-    param_str,
 )
+
+MOVE = {"kind": "move", "cell": "c1", "x": 4, "y": 2.5}
 
 
 class TestDecodeRequest:
@@ -65,6 +70,33 @@ class TestDecodeRequest:
             assert request.op == op
             assert request.session is None
 
+    @pytest.mark.parametrize(
+        "name",
+        ["..", "../escaped", "a/b", "/tmp/abs", ".x", "a\x00b", "x" * 65,
+         "chip A"],
+    )
+    def test_session_names_that_are_paths_are_refused(self, name):
+        line = encode(Request(id="1", op="generate", session=name))
+        with pytest.raises(ProtocolError):
+            decode_request(line)
+
+    @pytest.mark.parametrize("name", ["chipA", "t", "s0", "chip-1.v2_x", "x" * 64])
+    def test_safe_session_names_decode(self, name):
+        line = encode(Request(id="1", op="generate", session=name))
+        assert decode_request(line).session == name
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            b'{"id":"1","op":"ping","params":' + b"[" * 60_000,
+            b'{"id":"1","op":"ping","n":' + b"1" * 5_000 + b"}",
+        ],
+        ids=["nested-past-recursion-limit", "integer-past-digit-limit"],
+    )
+    def test_json_the_parser_cannot_take_is_a_protocol_error(self, line):
+        with pytest.raises(ProtocolError, match="not JSON"):
+            decode_request(line)
+
 
 class TestDecodeReply:
     def test_ok_response(self):
@@ -103,62 +135,120 @@ class TestDecodeReply:
 
 
 class TestTypedParams:
+    """The cases of the per-key extractors the table replaced, now
+    inputs to :func:`check_params`."""
+
     def test_required_and_defaults(self):
-        params = {"s": "x", "i": 3, "f": 1.5, "b": True, "n": None}
-        assert param_str(params, "s") == "x"
-        assert param_int(params, "i") == 3
-        assert param_float(params, "f") == 1.5
-        assert param_float(params, "i") == 3.0  # int accepted as number
-        assert param_bool(params, "b") is True
-        assert param_opt_int(params, "n") is None
-        assert param_opt_int(params, "missing") is None
-        assert param_int(params, "missing", 9) == 9
+        assert check_params("eco", MOVE) == {
+            "kind": "move", "fault_at": None, "cell": "c1", "x": 4.0, "y": 2.5,
+        }
+        x = check_params("eco", MOVE)["x"]
+        assert isinstance(x, float)  # an int is accepted as a number
+        assert check_params("legalize", {}) == {
+            "reset": False, "workers": 1, "shards": None, "quarantine": False,
+        }
+        assert check_params("legalize", {"shards": None})["shards"] is None
+        # A default that depends on the design is left to the handler.
+        assert "seed" not in check_params("generate", {})
+        resize = {"kind": "resize", "cell": "c1", "width": 2}
+        assert "height" not in check_params("eco", resize)
+        assert check_params("generate", {"seed": 9})["seed"] == 9
 
     def test_bool_is_not_an_int(self):
-        with pytest.raises(ProtocolError):
-            param_int({"i": True}, "i")
-        with pytest.raises(ProtocolError):
-            param_float({"f": False}, "f")
+        with pytest.raises(ProtocolError, match="must be an integer"):
+            check_params("legalize", {"workers": True})
+        with pytest.raises(ProtocolError, match="must be a number"):
+            check_params("eco", {**MOVE, "x": False})
 
     def test_missing_required_raises(self):
-        with pytest.raises(ProtocolError):
-            param_str({}, "s")
-        with pytest.raises(ProtocolError):
-            param_int({}, "i")
+        with pytest.raises(ProtocolError, match="missing required string"):
+            check_params("eco", {"kind": "move", "x": 1, "y": 1})
+        with pytest.raises(ProtocolError, match="missing required integer"):
+            check_params("eco", {"kind": "resize", "cell": "c1"})
+        with pytest.raises(ProtocolError, match="missing required string"):
+            check_params("eco", {})
 
     def test_wrong_types_raise(self):
-        with pytest.raises(ProtocolError):
-            param_str({"s": 3}, "s")
-        with pytest.raises(ProtocolError):
-            param_bool({"b": 1}, "b")
-        with pytest.raises(ProtocolError):
-            param_opt_int({"n": "x"}, "n")
+        with pytest.raises(ProtocolError, match="must be a string"):
+            check_params("eco", {**MOVE, "cell": 3})
+        with pytest.raises(ProtocolError, match="must be a boolean"):
+            check_params("legalize", {"reset": 1})
+        with pytest.raises(ProtocolError, match="must be an integer"):
+            check_params("legalize", {"shards": "x"})
+        with pytest.raises(ProtocolError, match="must be a boolean"):
+            check_params("close", {"snapshot": None})  # null is not False
 
     def test_bounds_accept_in_range_values(self):
-        assert param_int({"i": 5}, "i", minimum=1, maximum=10) == 5
-        assert param_int({"i": 1}, "i", minimum=1) == 1
-        assert param_int({"i": 10}, "i", maximum=10) == 10
-        assert param_float({"f": 0.5}, "f", minimum=0.0, maximum=1.0) == 0.5
-        assert param_opt_int({"n": 3}, "n", minimum=1, maximum=4) == 3
-        assert param_opt_int({"n": None}, "n", minimum=1) is None
+        assert check_params("legalize", {"workers": 1})["workers"] == 1
+        assert check_params("legalize", {"workers": 64})["workers"] == 64
+        assert check_params("generate", {"density": 0.5})["density"] == 0.5
+        assert check_params("legalize", {"shards": 256})["shards"] == 256
 
     def test_bounds_reject_out_of_range_values(self):
         with pytest.raises(ProtocolError, match="must be >= 1"):
-            param_int({"i": 0}, "i", minimum=1)
-        with pytest.raises(ProtocolError, match="must be <= 10"):
-            param_int({"i": 11}, "i", maximum=10)
+            check_params("legalize", {"workers": 0})
+        with pytest.raises(ProtocolError, match="must be <= 64"):
+            check_params("legalize", {"workers": 65})
         with pytest.raises(ProtocolError, match="must be >= 0.01"):
-            param_float({"f": 0.001}, "f", minimum=0.01)
+            check_params("generate", {"density": 0.001})
         with pytest.raises(ProtocolError, match="must be <= 0.95"):
-            param_float({"f": 0.96}, "f", maximum=0.95)
+            check_params("generate", {"density": 0.96})
         with pytest.raises(ProtocolError, match="must be >= 1"):
-            param_opt_int({"n": 0}, "n", minimum=1)
+            check_params("legalize", {"shards": 0})
 
     def test_bounds_apply_to_defaulted_and_nan_values(self):
         # A default inside the range passes; the wire value is what
         # gets range-checked, not the default.
-        assert param_int({}, "i", 5, minimum=1, maximum=10) == 5
+        assert check_params("generate", {})["cells"] == 400
         with pytest.raises(ProtocolError, match="must be finite"):
-            param_float({"f": float("nan")}, "f", minimum=0.0)
+            check_params("generate", {"density": float("nan")})
         with pytest.raises(ProtocolError, match="must be finite"):
-            param_float({"f": float("inf")}, "f")
+            check_params("eco", {**MOVE, "x": float("inf")})
+        with pytest.raises(ProtocolError, match="must be finite"):
+            check_params("eco", {**MOVE, "y": 10**400})
+
+    def test_unknown_keys_raise(self):
+        with pytest.raises(ProtocolError, match="unknown param 'pad'"):
+            check_params("ping", {"pad": "x"})
+        with pytest.raises(ProtocolError, match="unknown param 'width'"):
+            check_params("eco", {**MOVE, "width": 2})
+        # `open` takes no generator params.
+        with pytest.raises(ProtocolError, match="unknown param 'cells'"):
+            check_params("open", {"aux": "d.aux", "cells": 10})
+
+    def test_unknown_eco_kind_is_an_eco_error(self):
+        with pytest.raises(EcoError, match="unknown eco kind 'teleport'"):
+            check_params("eco", {"kind": "teleport"})
+
+
+class TestTable:
+    def test_derived_names_are_views_of_the_table(self):
+        assert protocol.KNOWN_OPS == (
+            "ping", "sessions", "open", "generate", "legalize", "eco",
+            "digest", "stats", "snapshot", "close", "shutdown",
+        )
+        assert protocol.SESSION_OPS == {
+            "open", "generate", "legalize", "eco", "digest", "stats",
+            "snapshot", "close",
+        }
+        assert protocol.ECO_KINDS == (
+            "move", "resize", "swap", "buffer", "improve", "swap_pass",
+        )
+
+    def test_every_numeric_param_has_finite_bounds(self):
+        specs = [OPS[op].params for op in OPS] + list(ECO_PARAMS.values())
+        for spec in specs:
+            for key, param in spec.items():
+                assert param.value_type in (str, int, float, bool), key
+                if param.value_type in (int, float):
+                    assert param.minimum is not None, key
+                    assert param.maximum is not None, key
+                    assert math.isfinite(param.minimum), key
+                    assert math.isfinite(param.maximum), key
+                    assert param.minimum <= param.maximum, key
+                    if param.default not in (REQUIRED, DERIVED, None):
+                        assert (
+                            param.minimum <= param.default <= param.maximum
+                        ), key
+                else:
+                    assert param.minimum is None and param.maximum is None

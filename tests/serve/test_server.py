@@ -141,6 +141,61 @@ class TestOversizedLine:
         assert [r.getMessage() for r in caplog.records] == []
 
 
+class TestHostileInput:
+    """Wire input that once escaped the server's checks."""
+
+    def test_session_named_as_a_path_writes_nothing_outside(self, tmp_path):
+        """A session named ``../escaped`` or with an absolute path is
+        refused, so neither a snapshot, a ``close`` nor the shutdown
+        flush can write its bundle outside ``--snapshot-dir``."""
+        snap = tmp_path / "snap"
+        names = ("../escaped", str(tmp_path / "closed"), str(tmp_path / "kept"))
+        handle = ServerHandle(ServeConfig(snapshot_dir=str(snap))).start()
+        try:
+            with handle.client() as client:
+                replies = [
+                    client.request("generate", name, {"cells": 12})
+                    for name in names
+                ]
+                replies.append(client.request("snapshot", names[0]))
+                replies.append(
+                    client.request("close", names[1], {"snapshot": True})
+                )
+        finally:
+            handle.stop()  # the flush would write a resident `kept`
+        written = [p for p in tmp_path.rglob("*") if p.is_file()]
+        assert all(snap in p.parents for p in written), written
+        assert [r.error_code for r in replies] == ["protocol"] * 5
+
+    def test_nested_json_gets_one_reply_and_the_connection_lives(
+        self, server, caplog
+    ):
+        """JSON nested past the recursion limit (inside the line limit)
+        is answered ``protocol``; a ``ping`` after it on the same
+        connection is served and nothing is logged."""
+        deep = b'{"id":"1","op":"ping","params":' + b"[" * 60_000
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            with socket.create_connection(
+                ("127.0.0.1", server.port), timeout=30
+            ) as sock:
+                sock.sendall(deep + b'\n{"id": "p", "op": "ping"}\n')
+                with sock.makefile("rb") as lines:
+                    first = json.loads(lines.readline())
+                    second = json.loads(lines.readline())
+        assert first["ok"] is False
+        assert first["error"]["code"] == "protocol"
+        assert second["id"] == "p" and second["ok"] is True
+        assert [r.getMessage() for r in caplog.records] == []
+
+    @pytest.mark.parametrize(
+        "params", [{"rx": 0}, {"rx": 30.5}, {"ry": 2.5}], ids=str
+    )
+    def test_config_refusal_is_a_protocol_error(self, server, params):
+        with server.client() as client:
+            reply = client.request("generate", "cfg", {"cells": 12, **params})
+        assert reply.error_code == "protocol"
+
+
 class TestConcurrentIsolation:
     def test_conflicting_ecos_serialize_to_replayable_order(self, server):
         """8 clients hammer the same cells of one design concurrently;

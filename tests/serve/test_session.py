@@ -149,6 +149,30 @@ class TestEcoCommitOrRollback:
         with pytest.raises(ProtocolError, match="must be >= 0"):
             DesignSession.generate("g", {"seed": -1}, config)
 
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"kind": "improve", "passes": 11},
+            {"kind": "improve", "passes": 10**6, "max_moves": 0},
+            {"kind": "improve", "max_moves": 10**12},
+            {"kind": "swap_pass", "max_pairs": 10**12},
+            {"kind": "buffer", "net": "n0", "split_at": 10**12},
+            {"kind": "buffer", "net": "n0", "width": 10**6},
+            {"kind": "resize", "cell": "c0", "width": 10**6},
+            {"kind": "resize", "cell": "c0", "width": 2, "height": 10**6},
+        ],
+        ids=str,
+    )
+    def test_numeric_eco_params_are_capped(self, params):
+        """Each count an ECO runs or allocates by has a maximum, so one
+        request cannot hold its session's FIFO for days."""
+        session = legalized_session(cells=12)
+        before = session.digest()
+        with pytest.raises(ProtocolError, match="must be <="):
+            session.execute("eco", params)
+        assert session.digest() == before
+        assert session.seq == 1
+
     def test_unknown_op_rejected(self):
         session = legalized_session()
         with pytest.raises(ProtocolError):
